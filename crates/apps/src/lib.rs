@@ -107,8 +107,8 @@ pub(crate) mod spout_state {
 /// A runnable, *size-parameterized* application by paper abbreviation: the
 /// spouts generate exactly `total_events` input events (split across
 /// replicas via [`replica_share`]) and then exhaust, so a run drains
-/// deterministically — the reproducible workload behind the e2e
-/// measured-vs-predicted harness.
+/// deterministically — the reproducible workload behind the conformance
+/// suites and the repo benchmark's verified runs.
 pub fn app_sized(abbrev: &str, total_events: u64) -> Option<AppRuntime> {
     match abbrev {
         "WC" => Some(word_count::app_sized(total_events)),

@@ -7,7 +7,7 @@ use brisk_dag::{ExecutionGraph, Placement};
 use brisk_model::Evaluator;
 use brisk_numa::{Machine, SocketId};
 use brisk_rlas::{optimize_placement, PlacementOptions};
-use brisk_runtime::{Batch, BoundedQueue, JumboTuple};
+use brisk_runtime::{Batch, JumboTuple, QueueKind, ReplicaQueue};
 use brisk_sim::{SimConfig, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -15,7 +15,7 @@ fn bench_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("queue");
     g.throughput(Throughput::Elements(1));
     g.bench_function("push_pop", |b| {
-        let q: BoundedQueue<u64> = BoundedQueue::new(1024);
+        let q: ReplicaQueue<u64> = ReplicaQueue::new(QueueKind::default(), 1024);
         let mut i = 0u64;
         b.iter(|| {
             q.push(i).expect("open");
@@ -24,7 +24,7 @@ fn bench_queue(c: &mut Criterion) {
         });
     });
     g.bench_function("jumbo_push_pop_64", |b| {
-        let q: BoundedQueue<JumboTuple> = BoundedQueue::new(64);
+        let q: ReplicaQueue<JumboTuple> = ReplicaQueue::new(QueueKind::default(), 64);
         // One shared slab, cloned per iteration: the queue moves a batch
         // handle, the payloads never move (the zero-copy fast path).
         let batch = Batch::from_rows((0..64).map(|i| (i as u64, 0, i as u64)));

@@ -1,11 +1,11 @@
-//! A/B micro-benchmark of the two queue fabrics ([`QueueKind`]) on the
+//! Micro-benchmark of the two queue rings ([`QueueKind`]) on the
 //! engine's hottest path: moving jumbo tuples across a single
 //! producer→consumer replica pair.
 //!
 //! Methodology: each iteration ping-pongs a **pre-built** payload through
 //! the queue (push then pop), so the numbers isolate pure queue overhead —
 //! no tuple allocation noise, exactly the per-jumbo synchronization cost
-//! the engine pays per queue crossing. Three shapes per fabric:
+//! the engine pays per queue crossing. The shapes, per ring:
 //!
 //! * `push_pop_u64` — minimal element, the raw fabric floor.
 //! * `jumbo_push_pop_64` — one [`JumboTuple`] of 64 tuples per crossing
@@ -25,11 +25,10 @@
 //!   the two threads time-share, so treat those numbers as a smoke signal
 //!   there and as a real cross-core measurement only on multi-core hosts.
 //!
-//! All three fabrics run the same shapes — the CAS-claimed MPSC ring's
-//! single-producer numbers sit between mutex and SPSC, pricing the fan-in
-//! wiring the engine auto-selects for multi-producer (Global funnel)
-//! edges. Results are recorded in `BENCH_queue.json` at the repo root; the
-//! SPSC ring must beat the mutex queue by ≥2× on `jumbo_push_pop_64`.
+//! Both rings run the same shapes — the CAS-claimed MPSC ring's
+//! single-producer numbers price the fan-in wiring the engine selects for
+//! multi-producer (Global funnel) edges against the SPSC floor. Results
+//! are recorded in `BENCH_queue.json` at the repo root.
 
 use brisk_runtime::{Batch, JumboTuple, QueueKind, ReplicaQueue};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -157,7 +156,6 @@ fn bench_kind(c: &mut Criterion, kind: QueueKind) {
 }
 
 fn bench_queue_fabric(c: &mut Criterion) {
-    bench_kind(c, QueueKind::Mutex);
     bench_kind(c, QueueKind::Spsc);
     bench_kind(c, QueueKind::Mpsc);
 }

@@ -11,10 +11,8 @@
 //! *shapes* (who wins, by what factor, where the knees are) are asserted by
 //! the integration tests in `tests/`.
 
-pub mod e2e;
 pub mod experiments;
 pub mod harness;
 pub mod paper;
 
-pub use e2e::{extract_guard, run_all, run_app, AppE2e, E2eOptions, MeasuredRun};
 pub use harness::{latency_sim, plan_for, standard_options, standard_sim, PLAN_NODE_BUDGET};

@@ -24,10 +24,6 @@
 //! * Operators read tuples through [`TupleView`] (a borrowed payload plus
 //!   the lane values) or, batch-at-a-time, through [`BatchCursor`] /
 //!   [`Batch::payloads`], which exposes the contiguous `&[T]` directly.
-//!
-//! Legacy [`Tuple`]s interoperate: a slab of element type `Tuple` views
-//! through the tuple's inner `Arc` payload, so deprecated emit paths keep
-//! their exact downcast semantics while riding the batch fabric.
 
 use crate::tuple::Tuple;
 use std::any::{Any, TypeId};
@@ -47,7 +43,7 @@ type ClearFn = fn(&mut (dyn Any + Send + Sync));
 
 /// The three type-erased operations a slab needs after its element type is
 /// forgotten: borrow element `i` as `&dyn Any`, clone element `i` into an
-/// owned legacy [`Tuple`] payload, and clear the storage for recycling.
+/// owned [`Tuple`] payload, and clear the storage for recycling.
 #[derive(Clone, Copy)]
 struct SlabOps {
     view: ViewFn,
@@ -75,29 +71,11 @@ fn clear_slab<T: Any + Send + Sync>(p: &mut (dyn Any + Send + Sync)) {
         .clear();
 }
 
-/// Slabs of legacy `Tuple`s view through the tuple's inner `Arc` payload,
-/// preserving the historical `value::<T>()` downcast semantics.
-fn view_tuple(p: &(dyn Any + Send + Sync), i: usize) -> &(dyn Any + Send + Sync) {
-    &*p.downcast_ref::<Vec<Tuple>>().expect("slab payload type")[i].payload
-}
-
-fn payload_tuple(p: &(dyn Any + Send + Sync), i: usize) -> Arc<dyn Any + Send + Sync> {
-    Arc::clone(&p.downcast_ref::<Vec<Tuple>>().expect("slab payload type")[i].payload)
-}
-
 fn ops_for<T: Any + Send + Sync + Clone>() -> SlabOps {
-    if TypeId::of::<T>() == TypeId::of::<Tuple>() {
-        SlabOps {
-            view: view_tuple,
-            payload: payload_tuple,
-            clear: clear_slab::<Tuple>,
-        }
-    } else {
-        SlabOps {
-            view: view_slab::<T>,
-            payload: payload_slab::<T>,
-            clear: clear_slab::<T>,
-        }
+    SlabOps {
+        view: view_slab::<T>,
+        payload: payload_slab::<T>,
+        clear: clear_slab::<T>,
     }
 }
 
@@ -195,7 +173,7 @@ struct SlabCore {
     keys: Vec<u64>,
     elem_type: TypeId,
     ops: SlabOps,
-    /// `None` for pool-less slabs ([`Batch::from_tuples`]); their storage
+    /// `None` for pool-less slabs ([`Batch::from_rows`]); their storage
     /// is simply dropped and they do not count toward any [`SlabStats`].
     pool: Option<Arc<SlabPool>>,
 }
@@ -295,8 +273,8 @@ impl Batch {
         }
     }
 
-    /// Clone tuple `i` out into an owned legacy [`Tuple`] (profiling /
-    /// capture bridges; allocates for non-`Tuple` element types).
+    /// Clone tuple `i` out into an owned [`Tuple`] (profiling / capture
+    /// bridges; allocates).
     pub fn to_tuple(&self, i: usize) -> Tuple {
         assert!(i < self.len, "batch index out of range");
         let idx = self.start + i;
@@ -370,26 +348,6 @@ impl Batch {
             len,
         }
     }
-
-    /// Wrap pre-built legacy [`Tuple`]s as a pool-less batch (test and
-    /// bench bridge; not recycled, not counted in any [`SlabStats`]).
-    pub fn from_tuples(tuples: Vec<Tuple>) -> Batch {
-        let event_ns = tuples.iter().map(|t| t.event_ns).collect();
-        let keys = tuples.iter().map(|t| t.key).collect();
-        let len = tuples.len();
-        Batch {
-            slab: Arc::new(SlabCore {
-                payloads: Box::new(tuples),
-                event_ns,
-                keys,
-                elem_type: TypeId::of::<Tuple>(),
-                ops: ops_for::<Tuple>(),
-                pool: None,
-            }),
-            start: 0,
-            len,
-        }
-    }
 }
 
 impl std::fmt::Debug for Batch {
@@ -420,7 +378,7 @@ impl<'a> TupleView<'a> {
         self.payload.downcast_ref::<T>()
     }
 
-    /// View a legacy owned [`Tuple`] (profiling replay, shims).
+    /// View an owned [`Tuple`] (profiling replay).
     pub fn of_tuple(t: &'a Tuple) -> TupleView<'a> {
         TupleView {
             payload: &*t.payload,
@@ -429,18 +387,13 @@ impl<'a> TupleView<'a> {
         }
     }
 
-    /// View a bare value with explicit lane values. A value that is itself
-    /// a legacy [`Tuple`] is unwrapped so `value::<T>()` reaches its inner
-    /// payload, mirroring slab semantics.
+    /// View a bare value with explicit lane values (inline fused
+    /// deliveries).
     pub fn of_value<T: Any + Send + Sync>(value: &'a T, event_ns: u64, key: u64) -> TupleView<'a> {
-        let any: &'a (dyn Any + Send + Sync) = value;
-        match any.downcast_ref::<Tuple>() {
-            Some(t) => TupleView::of_tuple(t),
-            None => TupleView {
-                payload: any,
-                event_ns,
-                key,
-            },
+        TupleView {
+            payload: value,
+            event_ns,
+            key,
         }
     }
 }
@@ -778,15 +731,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_tuple_slabs_keep_inner_payload_semantics() {
-        #[allow(deprecated)]
-        let t = Tuple::keyed(String::from("w"), 5, 9);
-        let batch = Batch::from_tuples(vec![t]);
-        let v = batch.view(0);
-        // The view reaches through the tuple's inner Arc payload.
+    fn owned_tuples_round_trip_through_views() {
+        let batch = Batch::from_rows([(String::from("w"), 5, 9)]);
+        let owned = batch.to_tuple(0);
+        let v = TupleView::of_tuple(&owned);
         assert_eq!(v.value::<String>().map(String::as_str), Some("w"));
-        assert_eq!(v.key, 9);
-        let back = batch.to_tuple(0);
-        assert_eq!(back.event_ns, 5);
+        assert_eq!((v.event_ns, v.key), (5, 9));
     }
 }

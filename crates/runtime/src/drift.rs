@@ -4,8 +4,8 @@
 //! "after the first `N` tuples across all replicas of operator `op`, every
 //! further tuple costs an extra `d`" — and [`DriftPlan::instrument`] wraps
 //! the matching operator factories of an [`AppRuntime`] so the cost step
-//! fires at exactly that point, run after run, under every scheduler,
-//! queue fabric and fusion setting. The trigger counter lives in an `Arc`
+//! fires at exactly that point, run after run, whatever the pool width or
+//! fusion setting. The trigger counter lives in an `Arc`
 //! created at instrument time and is shared by every replica (and every
 //! restart), so drift onset is a property of *global* progress, not of any
 //! one replica's tuple count.

@@ -1,9 +1,11 @@
 //! The threaded execution engine.
 //!
-//! One OS thread per operator replica, wired by bounded queues carrying
-//! jumbo tuples. Shutdown cascades topologically: the run deadline stops the
-//! spouts; a bolt exits once every producer operator has finished *and* its
-//! input queues are drained, so no tuple in flight is lost.
+//! One task per spawned operator replica, wired by bounded queues carrying
+//! jumbo tuples and driven by the work-stealing worker pool
+//! ([`crate::scheduler`]). Shutdown cascades topologically: the run
+//! deadline stops the spouts; a bolt exits once every producer operator has
+//! finished *and* its input queues are drained, so no tuple in flight is
+//! lost.
 //!
 //! On a development host there is no 8-socket NUMA machine to pin against,
 //! so the engine keeps placement as bookkeeping and can optionally *inject*
@@ -17,12 +19,12 @@ use crate::batch::{Batch, BatchCursor, SlabPool, SlabStats};
 use crate::fusion::{FusedSinkState, FusedTarget, SinkLocal, SinkProgress};
 use crate::operator::{
     AppRuntime, BoltContext, Collector, DynBolt, DynSpout, EngineClock, OperatorRuntime,
-    OutputEdge, SpoutStatus, StateEntry,
+    OutputEdge, StateEntry,
 };
 use crate::partition::Partitioner;
 use crate::queue::{QueueKind, ReplicaQueue};
 use crate::scheduler::{self, PoolRun, Scheduler, WakeHub};
-use crate::spsc::{Backoff, BackoffProfile};
+use crate::spsc::BackoffProfile;
 use crate::supervise::{
     self, panic_message, FaultKind, FaultSummary, ReplicaFault, RestartPolicy, StallEvent,
     WatchEntry,
@@ -71,10 +73,9 @@ impl NumaPenalty {
 /// being breaking changes.
 ///
 /// ```
-/// use brisk_runtime::{EngineConfig, QueueKind, Scheduler};
+/// use brisk_runtime::{EngineConfig, Scheduler};
 ///
 /// let config = EngineConfig::builder()
-///     .queue_kind(QueueKind::Mpsc)
 ///     .fusion(false)
 ///     .scheduler(Scheduler::CorePool { workers: 4 })
 ///     .build();
@@ -83,15 +84,15 @@ impl NumaPenalty {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct EngineConfig {
-    /// Which queue fabric wires replica pairs (default: lock-free SPSC).
-    pub queue_kind: QueueKind,
     /// Queue capacity in jumbo tuples.
     pub queue_capacity: usize,
     /// Tuples batched per jumbo tuple (1 disables the jumbo optimization).
+    /// A soft bound: while a destination queue is full the producing task
+    /// keeps running out its bounded slice, so a builder may grow past
+    /// this before it seals.
     pub jumbo_size: usize,
     /// Park interval ceiling for the adaptive spin → yield → park back-off
-    /// ladder (see [`Backoff`]) — governs both idle executors polling
-    /// empty inputs and producers blocked on a full SPSC ring.
+    /// ladder (see [`crate::Backoff`]) idle pool workers wait on.
     pub poll_backoff: Duration,
     /// Emit-side flush cadence, in operator invocations.
     pub flush_every: u32,
@@ -107,8 +108,8 @@ pub struct EngineConfig {
     /// operator inline instead of routing through a queue (see
     /// [`brisk_dag::FusionPlan`] for eligibility). Disable for A/B runs.
     pub fusion: bool,
-    /// How replicas map onto OS threads: one thread per replica (default)
-    /// or the work-stealing core pool (see [`Scheduler`]).
+    /// Width of the work-stealing worker pool that drives every replica
+    /// task (see [`Scheduler`]; default: one worker per host core).
     pub scheduler: Scheduler,
     /// What happens when a replica's operator panics: retire it on first
     /// fault (default) or restart it with exponential backoff (see
@@ -128,7 +129,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            queue_kind: QueueKind::default(),
             queue_capacity: 64,
             jumbo_size: 64,
             poll_backoff: Duration::from_micros(100),
@@ -159,12 +159,6 @@ pub struct EngineConfigBuilder {
 }
 
 impl EngineConfigBuilder {
-    /// Queue fabric wiring replica pairs ([`EngineConfig::queue_kind`]).
-    pub fn queue_kind(mut self, kind: QueueKind) -> Self {
-        self.config.queue_kind = kind;
-        self
-    }
-
     /// Queue capacity in jumbos ([`EngineConfig::queue_capacity`]).
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
@@ -208,7 +202,7 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Select the execution scheduler ([`EngineConfig::scheduler`]).
+    /// Size the worker pool ([`EngineConfig::scheduler`]).
     pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
         self.config.scheduler = scheduler;
         self
@@ -244,28 +238,6 @@ pub struct RunReport {
     pub throughput: f64,
     /// End-to-end latency (spout emit → sink receive), nanoseconds.
     pub latency_ns: Histogram,
-    /// Input-side tuples consumed per operator. Spouts have no input and
-    /// report 0 here — their emission counts are in `emitted`,
-    /// so spout emission rate and sink consumption rate are distinguishable.
-    #[deprecated(note = "use `RunReport::operator(op).processed` instead")]
-    pub processed: Vec<u64>,
-    /// Output-side tuples emitted per operator across all streams (sinks
-    /// normally 0; spouts: their generation count).
-    #[deprecated(note = "use `RunReport::operator(op).emitted` instead")]
-    pub emitted: Vec<u64>,
-    /// Queue-pressure events per operator: jumbo flushes that found a
-    /// destination queue full, i.e. the producer stalled on back-pressure.
-    /// Counted once per stalled flush (one jumbo to one destination
-    /// queue), so a broadcast edge with several slow consumers records one
-    /// stall per consumer queue.
-    #[deprecated(note = "use `RunReport::operator(op).queue_full_events` instead")]
-    pub queue_full_events: Vec<u64>,
-    /// Queue crossings per operator: jumbo tuples this operator pushed to
-    /// consumer queues. Fused edges deliver inline and never count here —
-    /// the fused-vs-unfused A/B reads this to verify fusion actually
-    /// removed crossings.
-    #[deprecated(note = "use `RunReport::operator(op).queue_pushes` instead")]
-    pub queue_pushes: Vec<u64>,
     /// Payload slabs freshly allocated by the batch fabric over the whole
     /// run (pool misses). Steady state should be dominated by
     /// [`RunReport::slab_recycled`] instead.
@@ -273,12 +245,8 @@ pub struct RunReport {
     /// Payload slabs reused from a producer arena pool (pool hits) — the
     /// zero-allocation steady-state path.
     pub slab_recycled: u64,
-    /// Replica restarts per operator (supervision).
-    op_restarts: Vec<u64>,
-    /// Quarantined (dead-lettered) tuples per operator.
-    op_quarantined: Vec<u64>,
-    /// Faults attributed per operator.
-    op_fault_counts: Vec<u64>,
+    /// Every counter of every logical operator, by operator index.
+    ops: Vec<OpStats>,
     /// Every structured fault of the run, in occurrence order.
     faults: Vec<ReplicaFault>,
     /// Every watchdog stall observation of the run.
@@ -328,12 +296,14 @@ impl ReplicaRate {
 /// [`RunReport::operator`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpStats {
-    /// Input-side tuples this operator consumed (0 for spouts).
+    /// Input-side tuples this operator consumed. Spouts have no input and
+    /// report 0 — their generation count is in `emitted`, so spout
+    /// emission and sink consumption stay distinguishable.
     pub processed: u64,
     /// Output-side tuples this operator emitted across all streams.
     pub emitted: u64,
-    /// Jumbo flushes that found a destination queue full (back-pressure
-    /// stalls charged to this operator as a producer).
+    /// Back-pressure episodes charged to this operator as a producer: a
+    /// flush found a destination queue full and the task had to yield.
     pub queue_full_events: u64,
     /// Jumbo tuples this operator pushed to consumer queues (fused edges
     /// deliver inline and never count).
@@ -350,38 +320,26 @@ pub struct OpStats {
     pub faults: u64,
 }
 
-#[allow(deprecated)]
 impl RunReport {
     /// Throughput in the paper's unit (k events/s).
     pub fn k_events_per_sec(&self) -> f64 {
         self.throughput / 1e3
     }
 
-    /// All counters of one logical operator, by operator index — the
-    /// supported replacement for indexing the deprecated parallel vectors.
+    /// All counters of one logical operator, by operator index.
     pub fn operator(&self, op: usize) -> OpStats {
-        OpStats {
-            processed: self.processed[op],
-            emitted: self.emitted[op],
-            queue_full_events: self.queue_full_events[op],
-            queue_pushes: self.queue_pushes[op],
-            restarts: self.op_restarts[op],
-            quarantined: self.op_quarantined[op],
-            faults: self.op_fault_counts[op],
-        }
+        self.ops[op]
     }
 
     /// Number of logical operators covered by this report.
     pub fn operator_count(&self) -> usize {
-        self.processed.len()
+        self.ops.len()
     }
 
     /// Every operator's counters, in operator order — convenient for
     /// whole-topology assertions (e.g. cross-configuration determinism).
     pub fn per_operator(&self) -> Vec<OpStats> {
-        (0..self.operator_count())
-            .map(|i| self.operator(i))
-            .collect()
+        self.ops.clone()
     }
 
     /// Measured input-side processing rate of one operator, tuples/sec
@@ -434,8 +392,8 @@ impl RunReport {
         FaultSummary {
             faults: self.faults.clone(),
             stalls: self.stalls.clone(),
-            restarts: self.op_restarts.iter().sum(),
-            quarantined: self.op_quarantined.iter().sum(),
+            restarts: self.ops.iter().map(|o| o.restarts).sum(),
+            quarantined: self.ops.iter().map(|o| o.quarantined).sum(),
         }
     }
 }
@@ -589,7 +547,8 @@ impl Engine {
             .map(|p| p.replica_socket.as_slice())
     }
 
-    /// Total replica threads this engine will spawn.
+    /// Total operator replicas under this engine's plan (fused-away ones
+    /// included).
     pub fn total_replicas(&self) -> usize {
         self.replication.iter().sum()
     }
@@ -601,14 +560,14 @@ impl Engine {
     ///
     /// # Example
     ///
-    /// Build a tiny spout → bolt → sink app, pick the queue fabric, fusion
-    /// and scheduler through the config builder, and run to exhaustion:
+    /// Build a tiny spout → bolt → sink app, pick fusion and the pool
+    /// width through the config builder, and run to exhaustion:
     ///
     /// ```
     /// use brisk_dag::{CostProfile, TopologyBuilder, DEFAULT_STREAM};
     /// use brisk_runtime::{
-    ///     AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig, QueueKind, RunLimit,
-    ///     Scheduler, SpoutStatus, TupleView,
+    ///     AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig, RunLimit, Scheduler,
+    ///     SpoutStatus, TupleView,
     /// };
     /// use std::time::Duration;
     ///
@@ -654,7 +613,6 @@ impl Engine {
     ///     .sink(k, |_| Discard);
     ///
     /// let config = EngineConfig::builder()
-    ///     .queue_kind(QueueKind::Spsc)
     ///     .fusion(true)
     ///     .scheduler(Scheduler::CorePool { workers: 2 })
     ///     .build();
@@ -716,19 +674,13 @@ impl Engine {
             FusionPlan::disabled(topology)
         };
         let spawned_replicas = fusion.spawned_executors(&self.replication);
-        // Scheduler selection: `Some(n)` means the core pool drives every
-        // task on `n` workers; `None` keeps one OS thread per replica.
         let pool_workers = self.config.scheduler.pool_workers(spawned_replicas);
-        // Oversubscription-aware wait ladder: when runtime threads
-        // outnumber hardware cores, spinning burns the timeslices the
-        // counterpart threads need, so waiters park almost immediately.
-        // The pool never oversubscribes by construction — its thread count
-        // is the worker count, not the replica count.
-        let backoff_profile = BackoffProfile::detect(
-            pool_workers.unwrap_or(spawned_replicas),
-            self.config.poll_backoff,
-        );
-        let wake_hub = pool_workers.map(|_| Arc::new(WakeHub::new(total_replicas)));
+        // Oversubscription-aware wait ladder for idle workers: when an
+        // explicit `workers` count outnumbers hardware cores, spinning
+        // burns the timeslices the other workers need, so waiters park
+        // almost immediately.
+        let backoff_profile = BackoffProfile::detect(pool_workers, self.config.poll_backoff);
+        let wake_hub = Arc::new(WakeHub::new(total_replicas));
 
         // Slab arenas for the zero-copy batch fabric: one pool per
         // (operator, replica) producer, all reporting into one engine-wide
@@ -746,7 +698,13 @@ impl Engine {
 
         // Queues per unfused logical edge. Output edges are grouped per
         // (operator, local replica) because fused-away operators emit from
-        // their host's thread rather than a replica of their own.
+        // their host's task rather than a replica of their own. The ring
+        // behind each queue follows from how many tasks push into it.
+        let capacity = self.config.queue_capacity;
+        let new_queue = |producers: usize| {
+            let kind = QueueKind::default().for_producers(producers);
+            Arc::new(ReplicaQueue::new(kind, capacity))
+        };
         let mut inputs: Vec<Vec<InputPort>> = (0..total_replicas).map(|_| Vec::new()).collect();
         let mut op_outputs: Vec<Vec<Vec<OutputEdge>>> = self
             .replication
@@ -768,12 +726,7 @@ impl Engine {
                 // replica. Sharing an SpscQueue between producers would be
                 // a data race, so the wiring upgrades to the fan-in (MPSC)
                 // fabric and the consumer polls a single port.
-                let kind = self.config.queue_kind.for_producers(np);
-                let q = Arc::new(ReplicaQueue::with_profile(
-                    kind,
-                    self.config.queue_capacity,
-                    backoff_profile,
-                ));
+                let q = new_queue(np);
                 inputs[replica_base[edge.to.0]].push(InputPort {
                     queue: Arc::clone(&q),
                     producer_bytes,
@@ -800,11 +753,7 @@ impl Engine {
                 // exact.)
                 for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate().take(np) {
                     let cg = replica_base[edge.to.0] + r;
-                    let q = Arc::new(ReplicaQueue::with_profile(
-                        self.config.queue_kind,
-                        self.config.queue_capacity,
-                        backoff_profile,
-                    ));
+                    let q = new_queue(1);
                     inputs[cg].push(InputPort {
                         queue: Arc::clone(&q),
                         producer_bytes,
@@ -828,11 +777,7 @@ impl Engine {
                     let cg = replica_base[edge.to.0] + c;
                     // One producer replica, one consumer replica: the SPSC
                     // fabric's contract holds by construction.
-                    let q = Arc::new(ReplicaQueue::with_profile(
-                        self.config.queue_kind,
-                        self.config.queue_capacity,
-                        backoff_profile,
-                    ));
+                    let q = new_queue(1);
                     inputs[cg].push(InputPort {
                         queue: Arc::clone(&q),
                         producer_bytes,
@@ -970,16 +915,14 @@ impl Engine {
                 if let Some(entries) = shared.take_preload(replica_base[op.0] + r) {
                     bolt.install_state(entries);
                 }
-                let mut collector = Collector::new(
+                let collector = Collector::new(
                     replica_base[op.0] + r,
                     self.config.jumbo_size,
                     std::mem::take(&mut op_outputs[op.0][r]),
                     Arc::clone(&clock),
                 )
-                .with_fused(std::mem::take(&mut pending_fused[op.0][r]));
-                if let Some(hub) = &wake_hub {
-                    collector = collector.with_wake_hub(Arc::clone(hub));
-                }
+                .with_fused(std::mem::take(&mut pending_fused[op.0][r]))
+                .with_wake_hub(Arc::clone(&wake_hub));
                 let sink = (spec.kind == OperatorKind::Sink)
                     .then(|| FusedSinkState::new(Arc::clone(&shared.sink_progress)));
                 pending_fused[host.0][r].push(FusedTarget {
@@ -999,9 +942,9 @@ impl Engine {
         }
 
         // Seed every spawned replica as a task, in reverse topological
-        // order so consumers come up (or sit early in the pool's run
-        // queues) before producers start pushing — not required for
-        // correctness, helps startup latency.
+        // order so consumers sit early in the pool's run queues, before
+        // producers start pushing — not required for correctness, helps
+        // startup latency.
         let spawn_order: Vec<brisk_dag::OperatorId> =
             topology.topological_order().iter().rev().copied().collect();
         let mut inputs_by_replica: Vec<Option<Vec<InputPort>>> =
@@ -1016,16 +959,14 @@ impl Engine {
                 let global = replica_base[op.0] + r;
                 // Replica r hosts the replica-r instances of its fused
                 // subtree (index-aligned pairing).
-                let mut collector = Collector::new(
+                let collector = Collector::new(
                     global,
                     self.config.jumbo_size,
                     std::mem::take(outputs),
                     Arc::clone(&clock),
                 )
-                .with_fused(std::mem::take(&mut pending_fused[op.0][r]));
-                if let Some(hub) = &wake_hub {
-                    collector = collector.with_wake_hub(Arc::clone(hub));
-                }
+                .with_fused(std::mem::take(&mut pending_fused[op.0][r]))
+                .with_wake_hub(Arc::clone(&wake_hub));
                 seeds.push(TaskSeed {
                     global,
                     op_index: op.0,
@@ -1037,14 +978,13 @@ impl Engine {
                     collector,
                     ports: inputs_by_replica[global].take().expect("inputs once"),
                     producer_ops: topology.producers_of(op).iter().map(|p| p.0).collect(),
-                    name: format!("{}#{r}", spec.name),
                 });
             }
         }
 
-        // Arm the stall watchdog before the seeds move into their
-        // executors: it observes bolts/sinks only (spouts have no input to
-        // stall on) through shared progress counters and live queue handles.
+        // Arm the stall watchdog before the seeds move into the pool: it
+        // observes bolts/sinks only (spouts have no input to stall on)
+        // through shared progress counters and live queue handles.
         let watchdog = self.config.stall_deadline.map(|deadline| {
             let entries: Vec<WatchEntry> = seeds
                 .iter()
@@ -1061,53 +1001,7 @@ impl Engine {
         });
 
         let started = Instant::now();
-        let running = match (&wake_hub, pool_workers) {
-            (Some(hub), Some(workers)) => Running::Pool(scheduler::spawn_pool(
-                seeds,
-                Arc::clone(hub),
-                Arc::clone(&shared),
-                workers,
-            )),
-            _ => Running::Threads(
-                seeds
-                    .into_iter()
-                    .map(|seed| {
-                        let shared = Arc::clone(&shared);
-                        let (op_index, replica) = (seed.op_index, seed.ctx.replica);
-                        // Pre-captured for the emergency backstop: if the
-                        // supervised body itself unwinds (a bug outside any
-                        // guarded operator call), the thread still retires
-                        // its accounting so the run can wind down.
-                        let global = seed.global;
-                        let hosted = seed.collector.hosted_ops();
-                        let input_queues: Vec<Arc<ReplicaQueue<JumboTuple>>> =
-                            seed.ports.iter().map(|p| Arc::clone(&p.queue)).collect();
-                        let handle = std::thread::Builder::new()
-                            .name(seed.name.clone())
-                            .spawn(move || {
-                                match catch_unwind(AssertUnwindSafe(|| run_replica(seed, &shared)))
-                                {
-                                    Ok(local) => local,
-                                    Err(payload) => {
-                                        emergency_retire(
-                                            &shared,
-                                            op_index,
-                                            replica,
-                                            global,
-                                            &hosted,
-                                            &input_queues,
-                                            panic_message(payload.as_ref()),
-                                        );
-                                        None
-                                    }
-                                }
-                            })
-                            .expect("thread spawn");
-                        (op_index, replica, handle)
-                    })
-                    .collect(),
-            ),
-        };
+        let running = scheduler::spawn_pool(seeds, wake_hub, Arc::clone(&shared), pool_workers);
         EngineHandle {
             shared,
             running,
@@ -1118,15 +1012,6 @@ impl Engine {
             started,
         }
     }
-}
-
-/// The two executor shapes a run can be driven by, held by the
-/// [`EngineHandle`] until join.
-enum Running {
-    /// Per-thread handles tagged `(op_index, replica)` so a join
-    /// error can still be attributed in the fault report.
-    Threads(Vec<(usize, usize, std::thread::JoinHandle<Option<SinkLocal>>)>),
-    Pool(PoolRun),
 }
 
 /// State harvested from one engine at a migration pause: one
@@ -1149,7 +1034,7 @@ pub type HarvestedState = Vec<(usize, usize, Vec<StateEntry>)>;
 /// into a successor engine.
 pub struct EngineHandle {
     shared: Arc<EngineShared>,
-    running: Running,
+    running: PoolRun,
     watchdog: Option<std::thread::JoinHandle<()>>,
     pools: Vec<Vec<Arc<SlabPool>>>,
     slab_stats: Arc<SlabStats>,
@@ -1218,7 +1103,7 @@ impl EngineHandle {
         self.shared.stop.store(true, Ordering::SeqCst);
     }
 
-    /// Drive the run limit, then drain, join every executor and report.
+    /// Drive the run limit, then drain, join the worker pool and report.
     pub fn join(self) -> RunReport {
         self.join_inner().0
     }
@@ -1270,39 +1155,12 @@ impl EngineHandle {
             }
         }
         shared.stop.store(true, Ordering::SeqCst);
-        // Merge each sink task's local metrics after join — the run itself
-        // never serialized replicas on a shared histogram.
-        let mut sink_events = 0u64;
-        let mut latency_ns = Histogram::new();
-        match running {
-            Running::Threads(handles) => {
-                for (op_index, replica, h) in handles {
-                    match h.join() {
-                        Ok(Some(local)) => {
-                            sink_events += local.events;
-                            latency_ns.merge(&local.latency);
-                        }
-                        Ok(None) => {}
-                        // The backstop inside the thread body already
-                        // retired the replica's accounting before
-                        // re-raising; a join error past it means even the
-                        // backstop unwound. Record, never re-panic.
-                        Err(payload) => shared.record_fault(
-                            op_index,
-                            replica,
-                            FaultKind::ExecutorLoss,
-                            panic_message(payload.as_ref()),
-                            false,
-                        ),
-                    }
-                }
-            }
-            Running::Pool(run) => {
-                let local = run.join(&shared);
-                sink_events = local.events;
-                latency_ns.merge(&local.latency);
-            }
-        }
+        // Sink metrics stayed task-local for the whole run (replicas never
+        // serialized on a shared histogram); the pool hands back the merge.
+        let SinkLocal {
+            events: sink_events,
+            latency: latency_ns,
+        } = running.join(&shared);
         if let Some(w) = watchdog {
             let _ = w.join();
         }
@@ -1321,19 +1179,23 @@ impl EngineHandle {
         let elapsed = started.elapsed();
         let load_all =
             |v: &[AtomicU64]| -> Vec<u64> { v.iter().map(|c| c.load(Ordering::Relaxed)).collect() };
-        #[allow(deprecated)]
+        let load = |v: &[AtomicU64], op: usize| v[op].load(Ordering::Relaxed);
         let report = RunReport {
             elapsed,
             sink_events,
             throughput: sink_events as f64 / elapsed.as_secs_f64(),
             latency_ns,
-            processed: load_all(&shared.processed),
-            emitted: load_all(&shared.emitted),
-            queue_full_events: load_all(&shared.queue_full),
-            queue_pushes: load_all(&shared.queue_pushes),
-            op_restarts: load_all(&shared.restarts),
-            op_quarantined: load_all(&shared.quarantined),
-            op_fault_counts: load_all(&shared.op_faults),
+            ops: (0..shared.processed.len())
+                .map(|op| OpStats {
+                    processed: load(&shared.processed, op),
+                    emitted: load(&shared.emitted, op),
+                    queue_full_events: load(&shared.queue_full, op),
+                    queue_pushes: load(&shared.queue_pushes, op),
+                    restarts: load(&shared.restarts, op),
+                    quarantined: load(&shared.quarantined, op),
+                    faults: load(&shared.op_faults, op),
+                })
+                .collect(),
             slab_allocs: slab_stats.allocated(),
             slab_recycled: slab_stats.recycled(),
             faults: std::mem::take(&mut *shared.faults.lock()),
@@ -1396,8 +1258,7 @@ pub enum RunLimit {
     },
 }
 
-/// Engine state shared by every task of one run, whichever scheduler
-/// drives them.
+/// Engine state shared by every task of one run.
 pub(crate) struct EngineShared {
     pub(crate) app: Arc<AppRuntime>,
     pub(crate) config: EngineConfig,
@@ -1561,9 +1422,8 @@ impl EngineShared {
 }
 
 /// Everything one spawned replica needs to run, produced by the engine's
-/// wiring phase and consumed either by a dedicated thread
-/// ([`Scheduler::ThreadPerReplica`]) or as a pool task
-/// ([`Scheduler::CorePool`]).
+/// wiring phase and turned into a pool task by
+/// [`scheduler::spawn_pool`].
 pub(crate) struct TaskSeed {
     /// Global replica index — doubles as the pool's task id.
     pub(crate) global: usize,
@@ -1573,31 +1433,13 @@ pub(crate) struct TaskSeed {
     pub(crate) collector: Collector,
     pub(crate) ports: Vec<InputPort>,
     pub(crate) producer_ops: Vec<usize>,
-    /// Thread name under thread-per-replica execution.
-    pub(crate) name: String,
-}
-
-fn run_replica(mut seed: TaskSeed, shared: &EngineShared) -> Option<SinkLocal> {
-    let sink_local = match seed.kind {
-        OperatorKind::Spout => {
-            run_spout_supervised(&mut seed, shared);
-            None
-        }
-        OperatorKind::Bolt | OperatorKind::Sink => run_bolt_supervised(&mut seed, shared),
-    };
-    // Let fused chain operators emit their final results, then flush every
-    // buffer in the chain (depth-first, so tail emissions are shipped too).
-    seed.collector.finish_fused();
-    seed.collector.flush_all();
-    merge_and_retire(&mut seed.collector, seed.op_index, sink_local, shared)
 }
 
 /// Force-retire a replica whose executor was lost (a panic that escaped
-/// every operator guard, or a dead pool worker): record the fault, close
-/// its *input* queues so blocked producers fail fast instead of parking
-/// forever, and release its — and its fused subtree's — `op_live` latches
-/// so downstream consumers drain and exit. Output queues are left open for
-/// still-live consumers.
+/// every operator guard): record the fault, close its *input* queues so
+/// producers fail fast instead of backing up forever, and release its —
+/// and its fused subtree's — `op_live` latches so downstream consumers
+/// drain and exit. Output queues are left open for still-live consumers.
 pub(crate) fn emergency_retire(
     shared: &EngineShared,
     op_index: usize,
@@ -1623,26 +1465,10 @@ pub(crate) fn emergency_retire(
     shared.live_replicas.fetch_sub(1, Ordering::Relaxed);
 }
 
-/// Sleep a restart backoff in stop-aware chunks, bumping the replica's
-/// progress heartbeat so the watchdog never flags a replica that is merely
-/// waiting out its own backoff.
-fn supervised_sleep(total: Duration, shared: &EngineShared, global: usize) {
-    let mut remaining = total;
-    while remaining > Duration::ZERO {
-        if shared.stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let chunk = remaining.min(Duration::from_millis(10));
-        std::thread::sleep(chunk);
-        remaining = remaining.saturating_sub(chunk);
-        shared.progress[global].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Merge a finished task's collector-local counters (and its fused
 /// subtree's) into the shared report state, then retire the task: release
 /// `op_done` latches and decrement the live-task count. The collector must
-/// be fully flushed. Shared by both schedulers.
+/// be fully flushed.
 pub(crate) fn merge_and_retire(
     collector: &mut Collector,
     op_index: usize,
@@ -1680,124 +1506,6 @@ pub(crate) fn merge_and_retire(
     shared.replica_done[collector.replica()].store(true, Ordering::Relaxed);
     shared.live_replicas.fetch_sub(1, Ordering::Relaxed);
     sink_local
-}
-
-/// Thread-per-replica spout supervisor: run the generation loop, and on a
-/// contained panic consult the restart policy — back off and re-instance
-/// (or keep the instance when `recover()` opts in), or retire the replica
-/// on first fault / exhausted budget.
-fn run_spout_supervised(seed: &mut TaskSeed, shared: &EngineShared) {
-    let op = brisk_dag::OperatorId(seed.op_index);
-    let ctx = seed.ctx;
-    let new_instance = || -> Box<dyn DynSpout> {
-        match shared.app.runtime(op) {
-            OperatorRuntime::Spout(f) => f(ctx),
-            _ => unreachable!("kind checked by validate()"),
-        }
-    };
-    let mut spout = new_instance();
-    if let Some(entries) = shared.take_preload(seed.global) {
-        spout.install_state(entries);
-    }
-    let mut attempts = 0u32;
-    let mut died = false;
-    loop {
-        match run_spout_loop(spout.as_mut(), seed, shared) {
-            Ok(()) => break,
-            Err(message) => {
-                attempts += 1;
-                match shared.config.restart.delay_for(attempts) {
-                    Some(delay) => {
-                        shared.record_fault(
-                            seed.op_index,
-                            ctx.replica,
-                            FaultKind::OperatorPanic,
-                            message,
-                            true,
-                        );
-                        shared.restarts[seed.op_index].fetch_add(1, Ordering::Relaxed);
-                        supervised_sleep(delay, shared, seed.global);
-                        if !spout.recover() {
-                            spout = new_instance();
-                        }
-                    }
-                    None => {
-                        shared.record_fault(
-                            seed.op_index,
-                            ctx.replica,
-                            FaultKind::OperatorPanic,
-                            message,
-                            false,
-                        );
-                        died = true;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    // Migration pause: hand the source position to the successor engine.
-    // A dead spout's position is unknown — its state stays unharvested,
-    // consistent with the quarantine accounting.
-    if !died {
-        match catch_unwind(AssertUnwindSafe(|| spout.extract_state())) {
-            Ok(entries) => {
-                if shared.harvesting() {
-                    shared.harvest_state(seed.op_index, ctx.replica, entries);
-                } else {
-                    // Not (yet) a migration: this spout exhausted its budget
-                    // or the run stopped normally. Park the final position
-                    // anyway — if a migration pause lands after this exit,
-                    // join folds the parked state into the harvest so the
-                    // successor does not re-derive a fresh budget share.
-                    shared.park_retired(seed.op_index, ctx.replica, entries);
-                }
-            }
-            Err(payload) => shared.record_fault(
-                seed.op_index,
-                ctx.replica,
-                FaultKind::OperatorPanic,
-                panic_message(payload.as_ref()),
-                false,
-            ),
-        }
-    }
-}
-
-/// One supervised stretch of the spout generation loop; returns `Err` with
-/// the rendered panic payload when a `next` call unwinds.
-fn run_spout_loop(
-    spout: &mut dyn DynSpout,
-    seed: &mut TaskSeed,
-    shared: &EngineShared,
-) -> Result<(), String> {
-    let mut since_flush = 0u32;
-    let mut backoff = Backoff::with_profile(shared.backoff_profile);
-    loop {
-        if shared.stop.load(Ordering::Relaxed) || seed.collector.output_closed {
-            return Ok(());
-        }
-        let collector = &mut seed.collector;
-        let status = catch_unwind(AssertUnwindSafe(|| spout.next(collector)))
-            .map_err(|payload| panic_message(payload.as_ref()))?;
-        match status {
-            SpoutStatus::Emitted(n) => {
-                shared.replica_tuples[seed.global].fetch_add(n as u64, Ordering::Relaxed);
-                backoff.reset();
-                since_flush += 1;
-                if since_flush >= shared.config.flush_every {
-                    seed.collector.flush_all();
-                    since_flush = 0;
-                }
-            }
-            SpoutStatus::Idle => {
-                seed.collector.flush_all();
-                since_flush = 0;
-                backoff.snooze();
-            }
-            SpoutStatus::Exhausted => return Ok(()),
-        }
-    }
 }
 
 /// Jumbos drained from one port per consumer poll: enough to amortize the
@@ -1841,8 +1549,8 @@ impl PortCursor {
     }
 }
 
-/// A bolt's consume-side working state — the locals of the classic replica
-/// thread loop, boxed up so a pool task can persist them across slices.
+/// A bolt's consume-side working state, persisted by its pool task across
+/// slices.
 pub(crate) struct BoltState {
     pub(crate) bolt: Box<dyn DynBolt>,
     pub(crate) cursor: PortCursor,
@@ -1877,7 +1585,6 @@ impl BoltState {
 /// Consume the jumbos sitting in `state.batch` (popped from
 /// `ports[state.batch_port]`): charge fetch costs, execute the bolt under
 /// a panic guard, record sink metrics, and flush on the configured cadence.
-/// The shared inner loop of both schedulers' bolt paths.
 ///
 /// A panic inside `execute` returns `Err` with the rendered payload after
 /// quarantining exactly the poison tuple: everything executed before it is
@@ -2031,150 +1738,6 @@ pub(crate) fn replay_pending(
     Ok(())
 }
 
-/// Thread-per-replica bolt/sink supervisor: drive the consume loop, and on
-/// a contained panic consult the restart policy. A granted restart backs
-/// off, re-instances the operator (unless `recover()` keeps it) and
-/// resumes against the same queues, collector and fused subtree; a denied
-/// one closes the replica's *input* queues (producers fail fast; output
-/// queues stay open for live consumers) and retires it through the normal
-/// accounting path.
-fn run_bolt_supervised(seed: &mut TaskSeed, shared: &EngineShared) -> Option<SinkLocal> {
-    let ctx = seed.ctx;
-    let mut state = BoltState::new(
-        shared.new_bolt_instance(seed.op_index, ctx),
-        seed.kind,
-        seed.ports.len(),
-    );
-    if let Some(entries) = shared.take_preload(seed.global) {
-        state.bolt.install_state(entries);
-    }
-    let mut attempts = 0u32;
-    let mut died = false;
-    loop {
-        match run_bolt_loop(&mut state, seed, shared) {
-            Ok(()) => break,
-            Err(message) => {
-                attempts += 1;
-                match shared.config.restart.delay_for(attempts) {
-                    Some(delay) => {
-                        shared.record_fault(
-                            seed.op_index,
-                            ctx.replica,
-                            FaultKind::OperatorPanic,
-                            message,
-                            true,
-                        );
-                        shared.restarts[seed.op_index].fetch_add(1, Ordering::Relaxed);
-                        supervised_sleep(delay, shared, seed.global);
-                        if !state.bolt.recover() {
-                            state.bolt = shared.new_bolt_instance(seed.op_index, ctx);
-                        }
-                    }
-                    None => {
-                        shared.record_fault(
-                            seed.op_index,
-                            ctx.replica,
-                            FaultKind::OperatorPanic,
-                            message,
-                            false,
-                        );
-                        // Fail fast upstream; never close our own outputs.
-                        for p in &seed.ports {
-                            p.queue.close();
-                        }
-                        died = true;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    if !died {
-        if shared.harvesting() {
-            // Migration pause: extract state instead of finishing — finals
-            // belong to the true end of stream, which only the last
-            // (non-harvesting) epoch reaches.
-            let bolt = &mut state.bolt;
-            match catch_unwind(AssertUnwindSafe(|| bolt.extract_state())) {
-                Ok(entries) => shared.harvest_state(seed.op_index, ctx.replica, entries),
-                Err(payload) => shared.record_fault(
-                    seed.op_index,
-                    ctx.replica,
-                    FaultKind::OperatorPanic,
-                    panic_message(payload.as_ref()),
-                    false,
-                ),
-            }
-        } else if let Err(payload) =
-            catch_unwind(AssertUnwindSafe(|| state.bolt.finish(&mut seed.collector)))
-        {
-            shared.record_fault(
-                seed.op_index,
-                ctx.replica,
-                FaultKind::OperatorPanic,
-                panic_message(payload.as_ref()),
-                false,
-            );
-        }
-    }
-    state.sink_local
-}
-
-/// One supervised stretch of the bolt consume loop; returns `Err` with the
-/// rendered panic payload when an `execute` call unwinds (the supervisor
-/// decides restart vs. death).
-fn run_bolt_loop(
-    state: &mut BoltState,
-    seed: &mut TaskSeed,
-    shared: &EngineShared,
-) -> Result<(), String> {
-    let mut backoff = Backoff::with_profile(shared.backoff_profile);
-    loop {
-        // Restart housekeeping first: replay the interrupted jumbo's tail,
-        // then finish any jumbos still batched from before the fault.
-        replay_pending(state, &mut seed.collector, seed.op_index, shared)?;
-        if !state.batch.is_empty() {
-            backoff.reset();
-            consume_batch(
-                state,
-                &seed.ports,
-                &mut seed.collector,
-                seed.op_index,
-                shared,
-            )?;
-            continue;
-        }
-        match state.cursor.poll(&seed.ports, &mut state.batch, POP_BATCH) {
-            Some(port_idx) => {
-                backoff.reset();
-                state.batch_port = port_idx;
-                consume_batch(
-                    state,
-                    &seed.ports,
-                    &mut seed.collector,
-                    seed.op_index,
-                    shared,
-                )?;
-            }
-            None => {
-                seed.collector.flush_all();
-                state.since_flush = 0;
-                let producers_done = seed
-                    .producer_ops
-                    .iter()
-                    .all(|&p| shared.op_done[p].load(Ordering::Acquire));
-                if producers_done {
-                    if state.cursor.drained(&seed.ports) {
-                        return Ok(());
-                    }
-                } else {
-                    backoff.snooze();
-                }
-            }
-        }
-    }
-}
-
 /// Busy-wait for approximately `ns` nanoseconds.
 fn spin_ns(ns: u64) {
     if ns == 0 {
@@ -2276,22 +1839,6 @@ mod tests {
     }
 
     #[test]
-    fn core_pool_delivers_exactly_like_thread_per_replica() {
-        // The scheduler may change where and when tasks run — never how
-        // many tuples flow. A 2-worker pool over 5 tasks must produce the
-        // exact counter vectors of the threaded run above.
-        let config = EngineConfig::builder()
-            .scheduler(Scheduler::CorePool { workers: 2 })
-            .build();
-        let engine = Engine::new(app(1000), vec![1, 2, 2], config).expect("valid engine");
-        let report = engine.run_until_events(2000, Duration::from_secs(60));
-        assert_eq!(report.sink_events, 2000);
-        assert_eq!(processed(&report), vec![0, 1000, 2000]);
-        assert_eq!(emitted(&report), vec![1000, 2000, 0]);
-        assert_eq!(report.latency_ns.count(), 2000, "sinks record latency");
-    }
-
-    #[test]
     fn single_worker_pool_survives_back_pressure_without_deadlock() {
         // One worker drives the whole pipeline through tiny queues: every
         // producer task hits back-pressure with nobody else to drain it.
@@ -2339,6 +1886,48 @@ mod tests {
         let report = engine.run_until_events(1000, Duration::from_secs(20));
         assert_eq!(report.latency_ns.count(), 1000);
         assert!(report.latency_ns.percentile(99.0) > 0.0);
+    }
+
+    /// Stamps each tuple, then holds it for 2 µs before emitting.
+    struct SlowStampSpout {
+        left: u64,
+    }
+    impl DynSpout for SlowStampSpout {
+        fn next(&mut self, c: &mut Collector) -> SpoutStatus {
+            if self.left == 0 {
+                return SpoutStatus::Exhausted;
+            }
+            self.left -= 1;
+            let stamped = c.now_ns();
+            while c.now_ns() < stamped + 2_000 {
+                std::hint::spin_loop();
+            }
+            c.send_default(self.left, stamped, self.left);
+            SpoutStatus::Emitted(1)
+        }
+    }
+
+    #[test]
+    fn fused_sink_never_stamps_a_tuple_with_a_stale_clock() {
+        // A fully fused spout→sink chain delivers inline, inside the
+        // spout's `send`. The sink amortizes its clock read over 64
+        // deliveries; a tuple stamped after the cached read must refresh
+        // it, or its latency clamps to zero and the median with it.
+        let mut b = TopologyBuilder::new("stamp");
+        let s = b.add_spout("s", CostProfile::trivial());
+        let k = b.add_sink("k", CostProfile::trivial());
+        b.connect_shuffle(s, k);
+        let t = b.build().expect("valid");
+        let (s, k) = (t.find("s").expect("s"), t.find("k").expect("k"));
+        let app = AppRuntime::new(t)
+            .spout(s, |_| SlowStampSpout { left: 500 })
+            .sink(k, |_| NullSink);
+        let engine = Engine::new(app, vec![1, 1], EngineConfig::default()).expect("valid engine");
+        let report = engine.run_until_events(500, Duration::from_secs(20));
+        assert_eq!(report.sink_events, 500);
+        assert_eq!(total_pushes(&report), 0, "the chain must be fully fused");
+        let p50 = report.latency_ns.percentile(50.0);
+        assert!(p50 >= 2_000.0, "every tuple is ≥ 2 µs old, p50 = {p50} ns");
     }
 
     #[test]
@@ -2456,7 +2045,7 @@ mod tests {
     #[test]
     fn fused_chain_feeds_unfused_consumer_through_queues() {
         // s(1) -> x(1) fuses; x -> k(2) stays queued, pushed from the host
-        // thread on behalf of the fused x. The sink replicas must shut down
+        // task on behalf of the fused x. The sink replicas must shut down
         // cleanly via x's op_done latch (released by the host).
         let engine =
             Engine::new(app(500), vec![1, 1, 2], EngineConfig::default()).expect("valid engine");
@@ -2489,19 +2078,15 @@ mod tests {
     #[test]
     fn global_funnel_routes_multiple_producers_through_the_mpsc_fabric() {
         // Three spout replicas funnel into one sink replica over a Global
-        // edge: under the SPSC preference the engine must upgrade the
-        // shared queue to the MPSC ring — the debug tripwires would panic
-        // if an SpscQueue ever saw two producers. Every tuple arrives
-        // exactly once.
-        for kind in [QueueKind::Spsc, QueueKind::Mutex, QueueKind::Mpsc] {
-            let config = EngineConfig::builder().queue_kind(kind).build();
-            let engine =
-                Engine::new(global_funnel_app(400), vec![3, 1], config).expect("valid engine");
-            let report = engine.run_until_events(1200, Duration::from_secs(20));
-            assert_eq!(report.sink_events, 1200, "{kind}");
-            assert_eq!(report.operator(0).emitted, 1200, "{kind}");
-            assert_eq!(report.operator(1).processed, 1200, "{kind}");
-        }
+        // edge: the wiring must give the shared queue the MPSC ring — the
+        // debug tripwires would panic if an SpscQueue ever saw two
+        // producers. Every tuple arrives exactly once.
+        let engine = Engine::new(global_funnel_app(400), vec![3, 1], EngineConfig::default())
+            .expect("valid engine");
+        let report = engine.run_until_events(1200, Duration::from_secs(20));
+        assert_eq!(report.sink_events, 1200);
+        assert_eq!(report.operator(0).emitted, 1200);
+        assert_eq!(report.operator(1).processed, 1200);
     }
 
     struct BroadcastSpout {
@@ -2675,7 +2260,8 @@ mod tests {
         // s -> a (KeyBy) -> k (KeyBy), a key-preserving, [1, 2, 2]: the
         // a->k edge fuses pairwise, and every inline delivery must carry a
         // key belonging to that replica's shard — the sink instances
-        // assert it tuple by tuple (a violation panics the host thread).
+        // assert it tuple by tuple (a violation faults the fused sink and
+        // shows up as missing sink events).
         let mut b = TopologyBuilder::new("aligned");
         let s = b.add_spout("s", CostProfile::trivial());
         let a = b.add_bolt("a", CostProfile::trivial());

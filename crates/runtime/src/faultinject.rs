@@ -4,8 +4,8 @@
 //! processed by replica `r` of operator `op`", or "sleep `d` on a schedule
 //! of tuples" — and [`FaultPlan::instrument`] wraps the matching operator
 //! factories of an [`AppRuntime`] so the faults fire at exactly those
-//! points, run after run, under every scheduler, queue fabric and fusion
-//! setting. Trigger state lives in `Arc`s created at instrument time, so a
+//! points, run after run, whatever the pool width or fusion setting.
+//! Trigger state lives in `Arc`s created at instrument time, so a
 //! restarted replica shares the same trigger and an already-fired panic
 //! never re-fires.
 //!

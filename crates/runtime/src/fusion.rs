@@ -2,7 +2,7 @@
 //!
 //! When a [`brisk_dag::FusionPlan`] collapses a 1:1 collocated
 //! producer→consumer edge, the consumer stops being an executor of its own:
-//! its operator instance moves *into the producer's thread* as a
+//! its operator instance moves *into the producer's task* as a
 //! [`FusedTarget`] attached to the producer's [`Collector`]. An emit on a
 //! fused stream then calls the downstream operator's `execute` directly —
 //! no jumbo accumulation, no queue push/pop, no poll/back-off loop, no
@@ -13,7 +13,7 @@
 //!
 //! Accounting stays per logical operator: each target tracks the tuples it
 //! consumed inline and (for sinks) its latency histogram; the engine merges
-//! these into the [`crate::engine::RunReport`] after the host thread joins,
+//! these into the [`crate::engine::RunReport`] after the host task retires,
 //! exactly as it does for real replicas. A fused operator has one instance
 //! **per replica pair** (fusion requires equal replica counts; the
 //! single-replica chain is the n = 1 case), each riding host replica `i`'s
@@ -40,8 +40,8 @@ pub(crate) struct SinkProgress {
     pub(crate) events: AtomicU64,
 }
 
-/// Per-sink metrics owned by one replica thread (or one fused sink target)
-/// for the whole run and merged into the report after the thread joins.
+/// Per-sink metrics owned by one replica task (or one fused sink target)
+/// for the whole run and merged into the report after the task retires.
 #[derive(Default)]
 pub(crate) struct SinkLocal {
     pub(crate) events: u64,
@@ -57,7 +57,9 @@ pub(crate) struct FusedSinkState {
     /// the whole batch with it; refreshing every [`CLOCK_BATCH`] inline
     /// deliveries keeps the fused path's latency resolution — and its
     /// per-tuple cost — equivalent instead of paying one `Instant::now`
-    /// per tuple on the hottest path.
+    /// per tuple on the hottest path. A tuple stamped *after* the cached
+    /// read (a fully fused spout→sink chain stamps and delivers in one
+    /// call) forces a refresh, so its latency never clamps to zero.
     cached_now_ns: u64,
     until_refresh: u32,
 }
@@ -141,7 +143,7 @@ impl FusedTarget {
                     [self.shared.replica_base[self.op_index] + self.ctx.replica]
                     .fetch_add(1, Ordering::Relaxed);
                 if let Some(sink) = &mut self.sink {
-                    if sink.until_refresh == 0 {
+                    if sink.until_refresh == 0 || sink.cached_now_ns < tuple.event_ns {
                         sink.cached_now_ns = self.collector.now_ns();
                         sink.until_refresh = CLOCK_BATCH;
                     }

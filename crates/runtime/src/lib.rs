@@ -5,10 +5,10 @@
 //!
 //! Design points taken from the paper:
 //!
-//! * **Operator-per-thread**: each replica of each operator is one task run
-//!   by one OS thread inside a single process, so tuples are passed **by
-//!   reference** — producers store payloads in shared slabs and enqueue
-//!   only container handles.
+//! * **One task per replica, one process**: each spawned replica of each
+//!   operator is one task inside a single process, so tuples are passed
+//!   **by reference** — producers store payloads in shared slabs and
+//!   enqueue only container handles.
 //! * **Jumbo tuples over a zero-copy batch fabric** ([`batch`]): output
 //!   tuples headed for the same consumer accumulate in a typed,
 //!   arena-backed [`Batch`] (contiguous payloads + parallel event-time /
@@ -18,18 +18,18 @@
 //!   recycles through per-producer [`SlabPool`] arenas so the steady
 //!   state allocates nothing.
 //! * **Bounded queues with back-pressure**: when a consumer falls behind,
-//!   its input queues fill and producers block, eventually throttling the
-//!   spout so the system settles at its maximum sustainable rate
-//!   (Section 6.1, footnote 2). Where the engine wires exactly one
-//!   producer replica to a queue, the default fabric is a **lock-free
-//!   cache-conscious SPSC ring** ([`SpscQueue`]); genuinely multi-producer
-//!   wiring (a multi-replica `Global` funnel) automatically upgrades to the
-//!   **CAS-claimed MPSC ring** ([`MpscQueue`]), and the mutex+condvar
-//!   [`BoundedQueue`] remains available via [`QueueKind`] for A/B
-//!   comparison. Idle executors and blocked producers wait on an adaptive
+//!   its input queues fill and producer tasks yield their worker instead
+//!   of consuming more input, eventually throttling the spout so the
+//!   system settles at its maximum sustainable rate (Section 6.1,
+//!   footnote 2). The ring behind each queue is chosen at wiring time from
+//!   its producer count — there is no knob: one producer replica gets the
+//!   **lock-free cache-conscious SPSC ring** ([`SpscQueue`]); genuinely
+//!   multi-producer wiring (a multi-replica `Global` funnel) gets the
+//!   **CAS-claimed MPSC ring** ([`MpscQueue`])
+//!   ([`QueueKind::for_producers`]). Idle workers wait on an adaptive
 //!   **spin → yield → park** ladder ([`Backoff`]) whose rung layout
-//!   ([`BackoffProfile`]) turns park-dominant when replica threads
-//!   outnumber hardware cores.
+//!   ([`BackoffProfile`]) turns park-dominant when workers outnumber
+//!   hardware cores.
 //! * **Partition controller**: every task routes each emitted tuple to one
 //!   output buffer per consumer replica according to the edge's partitioning
 //!   strategy (shuffle / key-by / broadcast / global / forward).
@@ -37,16 +37,15 @@
 //!   collocated producer→consumer pairs wired 1:1 at the replica level —
 //!   single-replica chains, equal-count `Forward` edges, aligned KeyBy —
 //!   collapse into host executors that run the downstream operator
-//!   inline, one instance per replica pair, in the producer's thread: no
+//!   inline, one instance per replica pair, in the producer's task: no
 //!   jumbo batching, queue crossing, poll loop, or fetch-cost injection
 //!   on fused edges ([`EngineConfig::fusion`], default on).
 //!
-//! * **Execution schedulers** ([`scheduler`]): replicas run either one per
-//!   OS thread ([`Scheduler::ThreadPerReplica`], the paper's executor
-//!   model) or as *tasks* multiplexed onto a fixed pool of workers through
-//!   work-stealing run queues with wake-on-push
-//!   ([`Scheduler::CorePool`]) — decoupling replica counts from thread
-//!   counts, so heavily replicated plans no longer oversubscribe the host.
+//! * **One executor** ([`scheduler`]): replicas run as *tasks* multiplexed
+//!   onto a fixed pool of workers through work-stealing run queues with
+//!   wake-on-push — decoupling replica counts from thread counts, so
+//!   heavily replicated plans never oversubscribe the host. The pool's
+//!   width ([`Scheduler::CorePool`]'s `workers`) is its only setting.
 //!
 //! * **Supervised execution** ([`supervise`]): every user-operator call is
 //!   panic-contained; a panicking replica becomes a structured
@@ -56,7 +55,7 @@
 //!   An optional stall watchdog ([`EngineConfig::stall_deadline`]) flags
 //!   no-progress replicas without ever killing one, and the deterministic
 //!   [`FaultPlan`] harness ([`faultinject`]) drives fault-conformance
-//!   testing across schedulers, fabrics and fusion settings.
+//!   testing with fusion on and off.
 //!
 //! * **Elastic execution** ([`elastic`]): the profile → optimize → execute
 //!   life cycle runs continuously. An [`ElasticEngine`] samples live
@@ -104,7 +103,7 @@ pub use operator::{
     AppRuntime, BoltContext, Collector, DynBolt, DynSpout, OperatorRuntime, SpoutStatus, StateEntry,
 };
 pub use partition::{keyby_slot_table, route_keyed, Partitioner, KEYBY_SLOTS_PER_CONSUMER};
-pub use queue::{BoundedQueue, QueueKind, ReplicaQueue};
+pub use queue::{QueueKind, ReplicaQueue};
 pub use scheduler::Scheduler;
 pub use spsc::{Backoff, BackoffProfile, PushError, SpscQueue};
 pub use supervise::{

@@ -25,7 +25,7 @@
 //! bound: `push` blocks on the same spin → yield → park ladder
 //! ([`Backoff`]) as the SPSC ring.
 //!
-//! Close/drain semantics match the other fabrics: `close` fails subsequent
+//! Close/drain semantics match the SPSC ring's: `close` fails subsequent
 //! pushes and wakes blocked producers within one park interval; items
 //! already in the ring remain poppable so shutdown drains every in-flight
 //! tuple.

@@ -15,7 +15,7 @@ use crate::partition::{Partitioner, RouteTargets};
 use crate::queue::{QueueKind, ReplicaQueue};
 use crate::scheduler::WakeHub;
 use crate::spsc::PushError;
-use crate::tuple::{JumboTuple, Tuple};
+use crate::tuple::JumboTuple;
 use brisk_dag::{LogicalTopology, OperatorId, OperatorKind};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -250,8 +250,7 @@ pub(crate) struct OutputEdge {
     /// what makes the SPSC fabric exact.
     pub queues: Vec<Arc<ReplicaQueue<JumboTuple>>>,
     /// Global replica index of the consumer behind each queue — the
-    /// core-pool scheduler's wake-on-push target (unused, but cheap to
-    /// carry, under thread-per-replica execution).
+    /// scheduler's wake-on-push target.
     pub consumers: Vec<usize>,
     /// Broadcast edges accumulate into *one* shared builder: the sealed
     /// slab is shared across every consumer by refcount bump.
@@ -260,7 +259,7 @@ pub(crate) struct OutputEdge {
     /// shared builder on broadcast edges.
     pub builders: Vec<BatchBuilder>,
     /// Sealed batches awaiting a successful queue push, per consumer
-    /// (non-blocking mode parks stalled jumbos here; order is preserved).
+    /// (stalled jumbos park here; order is preserved).
     pub sealed: Vec<VecDeque<JumboTuple>>,
 }
 
@@ -291,21 +290,13 @@ impl OutputEdge {
     }
 }
 
-/// How [`Collector::flush_one`] treats a full destination queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FlushMode {
-    /// Thread-per-replica execution: the producer thread blocks on the
-    /// queue's wait ladder — blocking *is* the back-pressure signal.
-    Blocking,
-    /// Core-pool execution: the push is non-blocking; a full queue hands
-    /// the jumbo back, the tuples return to their buffer, and the task
-    /// reports [`Collector::is_backpressured`] so its worker can yield to
-    /// other tasks instead of stalling the whole pool.
-    NonBlocking,
-}
-
 /// The task-side emit interface: routes, batches and ships tuples — and,
 /// when operator fusion is active, runs fused-away consumers inline.
+///
+/// Pushes never block: a full destination queue hands the jumbo back, it
+/// parks in the edge's sealed backlog, and the collector reports
+/// [`Collector::is_backpressured`] so the owning task can yield its worker
+/// instead of stalling the whole pool.
 pub struct Collector {
     producer_replica: usize,
     jumbo_size: usize,
@@ -322,15 +313,12 @@ pub struct Collector {
     /// Fused-away consumers executed inline on emit (operator fusion).
     fused: Vec<FusedTarget>,
     clock: Arc<EngineClock>,
-    /// Full-queue policy: block the thread (thread-per-replica) or hand
-    /// the jumbo back so the task can yield (core pool).
-    mode: FlushMode,
-    /// Core-pool wake hub: a successful push marks the consumer's task
-    /// ready. `None` under thread-per-replica execution.
+    /// Wake hub: a successful push marks the consumer's task ready.
+    /// `None` only for standalone [`Collector::capture`] collectors, whose
+    /// taps nobody sleeps on.
     wake_hub: Option<Arc<WakeHub>>,
-    /// True while some destination buffer could not flush (non-blocking
-    /// mode only); cleared when [`Collector::flush_all`] gets everything
-    /// through.
+    /// True while some destination buffer could not flush; cleared when
+    /// [`Collector::flush_all`] gets everything through.
     backpressured: bool,
     /// Tracks a contiguous back-pressure episode so `stalled_flushes`
     /// counts each episode once, not once per retry sweep.
@@ -342,10 +330,9 @@ pub struct Collector {
     /// touch this counter).
     pub flushes: u64,
     /// Queue-pressure counter: jumbo flushes that found their destination
-    /// queue already full, i.e. moments this task was (about to be) blocked
-    /// by back-pressure from a slow consumer. Counted once per stalled
-    /// flush (one jumbo to one destination queue), so a broadcast edge
-    /// with `n` slow consumers records `n` distinct stalls per sweep.
+    /// queue already full, i.e. moments this task was held up by
+    /// back-pressure from a slow consumer. Counted once per contiguous
+    /// back-pressure episode, not once per retry sweep.
     pub stalled_flushes: u64,
     /// True once any destination queue is closed (engine shutting down),
     /// including queues downstream of a fused chain.
@@ -393,7 +380,6 @@ impl Collector {
             follower_of,
             fused: Vec::new(),
             clock,
-            mode: FlushMode::Blocking,
             wake_hub: None,
             backpressured: false,
             in_stall: false,
@@ -410,17 +396,15 @@ impl Collector {
         self
     }
 
-    /// Switch to core-pool flushing: non-blocking pushes plus wake-on-push
-    /// through `hub`. Applied to every collector in a task's fused subtree
-    /// by the engine when the `CorePool` scheduler is selected.
+    /// Wake consumers' tasks through `hub` on every successful push. The
+    /// engine applies it to every collector in a task's fused subtree.
     pub(crate) fn with_wake_hub(mut self, hub: Arc<WakeHub>) -> Collector {
-        self.mode = FlushMode::NonBlocking;
         self.wake_hub = Some(hub);
         self
     }
 
-    /// Whether some destination buffer is waiting on a full queue
-    /// (non-blocking mode), anywhere in this collector's fused subtree.
+    /// Whether some destination buffer is waiting on a full queue,
+    /// anywhere in this collector's fused subtree.
     /// The owning task must yield instead of consuming more input.
     pub(crate) fn is_backpressured(&self) -> bool {
         self.backpressured || self.fused.iter().any(|t| t.collector.is_backpressured())
@@ -439,8 +423,9 @@ impl Collector {
     /// Send `value` on `stream` with explicit event time and partitioning
     /// key — the typed batch path. The value lands directly in a typed,
     /// arena-backed batch builder (no per-tuple `Arc`); routing, batching
-    /// and back-pressure are handled here, and the call may block when a
-    /// destination queue is full. Fused edges bypass all of that: the
+    /// and back-pressure are handled here, and the call never blocks (a
+    /// full destination queue parks the sealed batch in a backlog). Fused
+    /// edges bypass all of that: the
     /// downstream operator runs inline on a borrowed view, right here in
     /// the producer's thread.
     pub fn send<T: Any + Send + Sync + Clone>(
@@ -462,26 +447,6 @@ impl Collector {
         key: u64,
     ) {
         self.send_impl(brisk_dag::DEFAULT_STREAM, value, event_ns, key);
-    }
-
-    /// Emit a pre-wrapped legacy tuple on `stream`.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use the typed batch path: `Collector::send(stream, value, event_ns, key)`"
-    )]
-    pub fn emit(&mut self, stream: &str, tuple: Tuple) {
-        let (event_ns, key) = (tuple.event_ns, tuple.key);
-        self.send_impl(stream, tuple, event_ns, key);
-    }
-
-    /// Emit a pre-wrapped legacy tuple on the default stream.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use the typed batch path: `Collector::send_default(value, event_ns, key)`"
-    )]
-    pub fn emit_default(&mut self, tuple: Tuple) {
-        let (event_ns, key) = (tuple.event_ns, tuple.key);
-        self.send_impl(brisk_dag::DEFAULT_STREAM, tuple, event_ns, key);
     }
 
     fn send_impl<T: Any + Send + Sync + Clone>(
@@ -569,7 +534,7 @@ impl Collector {
             // sealed early. Ship it ahead to preserve order.
             self.enqueue_batch(ei, slot, batch);
         }
-        // While non-blocking back-pressure is active, skip the per-send
+        // While back-pressure is active, skip the per-send
         // flush attempt: the sealed backlog absorbs the rest of the task's
         // bounded slice and the task-level flush_all retries once the
         // queue drains.
@@ -627,44 +592,27 @@ impl Collector {
     /// Drain consumer `consumer`'s sealed backlog into its queue.
     fn flush_one(&mut self, edge: usize, consumer: usize) {
         while let Some(jumbo) = self.edges[edge].sealed[consumer].pop_front() {
-            match self.mode {
-                FlushMode::Blocking => {
-                    match self.edges[edge].queues[consumer].push_tracked(jumbo) {
-                        Ok(stalled) => {
-                            self.flushes += 1;
-                            if stalled {
-                                self.stalled_flushes += 1;
-                            }
-                        }
-                        Err(_) => self.output_closed = true,
+            let e = &mut self.edges[edge];
+            match e.queues[consumer].try_push(jumbo) {
+                Ok(()) => {
+                    self.flushes += 1;
+                    if let Some(hub) = &self.wake_hub {
+                        hub.wake(e.consumers[consumer]);
                     }
                 }
-                FlushMode::NonBlocking => {
-                    let e = &mut self.edges[edge];
-                    match e.queues[consumer].try_push(jumbo) {
-                        Ok(()) => {
-                            self.flushes += 1;
-                            if let Some(hub) = &self.wake_hub {
-                                hub.wake(e.consumers[consumer]);
-                            }
-                        }
-                        Err(PushError::Full(jumbo)) => {
-                            // Park the jumbo back at the front (order is
-                            // preserved) and report the stall once per
-                            // back-pressure episode — the blocking path's
-                            // analogue counts once per jumbo that had to
-                            // wait.
-                            e.sealed[consumer].push_front(jumbo);
-                            if !self.in_stall {
-                                self.stalled_flushes += 1;
-                                self.in_stall = true;
-                            }
-                            self.backpressured = true;
-                            return;
-                        }
-                        Err(PushError::Closed(_)) => self.output_closed = true,
+                Err(PushError::Full(jumbo)) => {
+                    // Park the jumbo back at the front (order is
+                    // preserved) and report the stall once per
+                    // back-pressure episode.
+                    e.sealed[consumer].push_front(jumbo);
+                    if !self.in_stall {
+                        self.stalled_flushes += 1;
+                        self.in_stall = true;
                     }
+                    self.backpressured = true;
+                    return;
                 }
+                Err(PushError::Closed(_)) => self.output_closed = true,
             }
         }
     }
@@ -672,8 +620,8 @@ impl Collector {
     /// Flush every partially filled builder and sealed backlog (periodic
     /// timeout flush and final drain), recursing through fused chains so
     /// their queue-bound output buffers flush on the host's cadence too.
-    /// In non-blocking mode this re-attempts stalled jumbos and recomputes
-    /// the back-pressure flag: it clears only when everything ships.
+    /// Re-attempts stalled jumbos and recomputes the back-pressure flag:
+    /// it clears only when everything ships.
     pub fn flush_all(&mut self) {
         self.backpressured = false;
         for ei in 0..self.edges.len() {
@@ -739,7 +687,7 @@ impl Collector {
 
     /// Detach the whole fused-target tree (children before parents) so the
     /// engine can merge per-operator counters and sink metrics after the
-    /// host thread finishes.
+    /// host task finishes.
     pub(crate) fn take_fused(&mut self) -> Vec<FusedTarget> {
         let mut out = Vec::new();
         for mut target in std::mem::take(&mut self.fused) {
@@ -758,6 +706,10 @@ impl Collector {
     /// A standalone collector that *captures* emissions instead of shipping
     /// them to executor queues: one single-consumer queue per outgoing edge
     /// of `op`, with jumbo size 1 so every tuple is immediately visible.
+    /// Like every collector it never blocks: once a tap is full, further
+    /// emissions wait in the collector (shipped by a later
+    /// [`Collector::flush_all`] if the tap has been drained) rather than
+    /// hanging the calling thread.
     ///
     /// This is the harness behind operator profiling (the paper prepares an
     /// operator's sample input "by pre-executing all upstream operators")
@@ -898,19 +850,25 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_emit_rides_the_batch_fabric() {
-        let q = Arc::new(ReplicaQueue::new(QueueKind::default(), 16));
-        let edge = shuffle_edge(&q);
-        let mut c = Collector::new(0, 2, vec![edge], Arc::new(EngineClock::new()));
-        #[allow(deprecated)]
-        for i in 0..2u32 {
-            c.emit(DEFAULT_STREAM, Tuple::keyed(i, 7, 3));
+    fn full_capture_tap_parks_overflow_instead_of_blocking() {
+        let t = topology();
+        let s = t.find("s").expect("exists");
+        let (mut c, taps) = Collector::capture(&t, s, 2);
+        for i in 0..5u32 {
+            c.send_default(i, 0, 0); // must return even with the tap full
         }
-        let j = q.try_pop().expect("jumbo");
-        // Views reach through the legacy tuple's inner Arc payload.
-        assert_eq!(j.batch.view(1).value::<u32>(), Some(&1));
-        assert_eq!(j.batch.event_ns(0), 7);
-        assert_eq!(j.batch.key(1), 3);
+        let tap = &taps[0].1;
+        assert_eq!(tap.len(), 2);
+        assert!(c.is_backpressured());
+        let mut seen = Vec::new();
+        while seen.len() < 5 {
+            while let Some(j) = tap.try_pop() {
+                seen.extend_from_slice(j.batch.payloads::<u32>().expect("typed"));
+            }
+            c.flush_all();
+        }
+        assert_eq!(seen, vec![0, 1, 2, 3, 4], "nothing lost, order kept");
+        assert!(!c.is_backpressured());
     }
 
     #[test]

@@ -1,208 +1,31 @@
 //! Bounded communication queues with back-pressure.
 //!
-//! Every producer→consumer replica pair owns one queue. `push` blocks when
-//! the queue is full — that blocking *is* the back-pressure mechanism that
-//! ultimately slows the spout to the system's sustainable rate. `pop` never
-//! blocks (executors poll their input queues round-robin and back off when
-//! everything is empty); `close` wakes all blocked producers so the
-//! engine can shut down cleanly.
+//! Every producer→consumer replica pair owns one queue. A full queue
+//! refuses `try_push` — the engine's tasks then yield their worker, and
+//! that refusal *is* the back-pressure mechanism that ultimately slows the
+//! spout to the system's sustainable rate (the blocking `push*` family
+//! waits instead, for callers with a thread to spare). `pop` never blocks;
+//! `close` fails subsequent pushes and wakes blocked producers while
+//! queued items stay poppable, so shutdown drains every in-flight tuple.
 //!
-//! Three interchangeable fabrics implement these semantics, selected by
-//! [`QueueKind`] and dispatched through [`ReplicaQueue`]:
+//! Two lock-free rings implement these semantics behind [`ReplicaQueue`].
+//! Which one a queue gets is decided at wiring time from its producer
+//! count ([`QueueKind::for_producers`]) — it is not a user knob:
 //!
-//! * [`SpscQueue`](crate::spsc::SpscQueue) — the default: a lock-free
+//! * [`SpscQueue`](crate::spsc::SpscQueue) — the default: a
 //!   cache-conscious ring exploiting the engine's one-producer /
 //!   one-consumer wiring (see `crate::spsc` for the design).
-//! * [`MpscQueue`](crate::mpsc::MpscQueue) — the lock-free CAS-claimed
-//!   fan-in ring the engine upgrades to automatically
-//!   ([`QueueKind::for_producers`]) whenever a queue has more than one
-//!   pushing thread, so an `SpscQueue` is never shared between producers.
-//! * [`BoundedQueue`] — the original mutex + condvar MPSC queue, kept for
-//!   A/B benchmarking.
+//! * [`MpscQueue`](crate::mpsc::MpscQueue) — the CAS-claimed fan-in ring
+//!   for queues with more than one pushing task, so an `SpscQueue` is
+//!   never shared between producers.
 
 use crate::mpsc::MpscQueue;
-use crate::spsc::{BackoffProfile, PushError, SpscQueue};
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
+use crate::spsc::{PushError, SpscQueue};
 use std::time::Duration;
 
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded MPSC queue built on a mutex + condvar (parking_lot).
-pub struct BoundedQueue<T> {
-    inner: Mutex<Inner<T>>,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Queue holding at most `capacity` items.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
-        assert!(capacity > 0, "queue capacity must be positive");
-        BoundedQueue {
-            inner: Mutex::new(Inner {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Capacity the queue was created with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Blocking push: waits while the queue is full (back-pressure).
-    /// Returns `Err(item)` if the queue has been closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        self.push_tracked(item).map(|_| ())
-    }
-
-    /// Non-blocking push: hands the item back instead of waiting — the
-    /// cooperative-scheduler flush path, where a task must yield rather
-    /// than block its worker thread.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.inner.lock();
-        if inner.closed {
-            return Err(PushError::Closed(item));
-        }
-        if inner.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        inner.items.push_back(item);
-        Ok(())
-    }
-
-    /// Blocking push that additionally reports whether it found the queue
-    /// full and had to wait (`Ok(true)`) — the engine's queue-pressure
-    /// signal, observed under the lock the push takes anyway.
-    pub fn push_tracked(&self, item: T) -> Result<bool, T> {
-        let mut inner = self.inner.lock();
-        let mut stalled = false;
-        loop {
-            if inner.closed {
-                return Err(item);
-            }
-            if inner.items.len() < self.capacity {
-                inner.items.push_back(item);
-                return Ok(stalled);
-            }
-            stalled = true;
-            self.not_full.wait(&mut inner);
-        }
-    }
-
-    /// Push with a deadline. `Err(item)` on close *or* timeout.
-    ///
-    /// The deadline is computed **before** acquiring the lock, so time
-    /// spent waiting behind a slow consumer's lock hold counts against the
-    /// caller's timeout budget consistently.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            if inner.closed {
-                return Err(item);
-            }
-            if inner.items.len() < self.capacity {
-                inner.items.push_back(item);
-                return Ok(());
-            }
-            if self.not_full.wait_until(&mut inner, deadline).timed_out() {
-                return Err(item);
-            }
-        }
-    }
-
-    /// Blocking batch push: enqueues every item under a single lock
-    /// acquisition per free run. `Err(remaining)` if the queue closes
-    /// mid-batch.
-    pub fn push_n(&self, items: Vec<T>) -> Result<(), Vec<T>> {
-        let mut iter = items.into_iter();
-        if iter.len() == 0 {
-            return Ok(());
-        }
-        let mut inner = self.inner.lock();
-        loop {
-            if inner.closed {
-                return Err(iter.collect());
-            }
-            while inner.items.len() < self.capacity {
-                match iter.next() {
-                    Some(x) => inner.items.push_back(x),
-                    None => return Ok(()),
-                }
-            }
-            // The batch may have *exactly* filled the queue — don't wait
-            // for space nobody will need.
-            if iter.len() == 0 {
-                return Ok(());
-            }
-            self.not_full.wait(&mut inner);
-        }
-    }
-
-    /// Batch pop: moves up to `max` items into `out` under one lock
-    /// acquisition. Returns how many were popped.
-    pub fn pop_n(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut inner = self.inner.lock();
-        let n = max.min(inner.items.len());
-        if n > 0 {
-            out.extend(inner.items.drain(..n));
-            // Slots opened; wake blocked producers.
-            self.not_full.notify_all();
-        }
-        n
-    }
-
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock();
-        let item = inner.items.pop_front();
-        if item.is_some() {
-            // A slot opened; wake one blocked producer.
-            self.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Number of queued items right now.
-    pub fn len(&self) -> usize {
-        self.inner.lock().items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().items.is_empty()
-    }
-
-    /// Close the queue: subsequent pushes fail, blocked producers wake.
-    /// Items already queued remain poppable (drain-on-shutdown).
-    pub fn close(&self) {
-        let mut inner = self.inner.lock();
-        inner.closed = true;
-        self.not_full.notify_all();
-    }
-
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().closed
-    }
-}
-
-/// Which queue fabric the engine wires between replica pairs.
+/// Which ring implements a queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// The original mutex + condvar [`BoundedQueue`] (MPSC-capable).
-    Mutex,
     /// The lock-free cache-conscious [`SpscQueue`] — the default fabric,
     /// exact for the engine's one-queue-per-replica-pair wiring.
     #[default]
@@ -216,9 +39,8 @@ pub enum QueueKind {
 
 impl QueueKind {
     /// The fabric actually wired for a queue with `producers` pushing
-    /// threads: a multi-producer queue can never be an [`SpscQueue`], so
-    /// the SPSC preference upgrades to the MPSC ring (the mutex fabric is
-    /// already MPSC-capable and stays as-is).
+    /// tasks: a multi-producer queue can never be an [`SpscQueue`], so
+    /// the SPSC preference upgrades to the MPSC ring.
     pub fn for_producers(self, producers: usize) -> QueueKind {
         match self {
             QueueKind::Spsc if producers > 1 => QueueKind::Mpsc,
@@ -230,24 +52,20 @@ impl QueueKind {
 impl std::fmt::Display for QueueKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QueueKind::Mutex => write!(f, "mutex"),
             QueueKind::Spsc => write!(f, "spsc"),
             QueueKind::Mpsc => write!(f, "mpsc"),
         }
     }
 }
 
-/// A replica-pair queue of either fabric, dispatching each operation to the
-/// selected implementation. Both fabrics share identical blocking
-/// back-pressure and close/drain semantics, so the engine (and tests) can
-/// A/B them via [`QueueKind`] alone.
+/// A replica-pair queue of either ring, dispatching each operation to the
+/// selected implementation. Both rings share identical back-pressure and
+/// close/drain semantics.
 // The variants differ in size because the ring pads its index pairs to
 // whole cache lines; the engine holds every queue behind an `Arc`, and
 // boxing the ring would put a second pointer hop on every push/pop.
 #[allow(clippy::large_enum_variant)]
 pub enum ReplicaQueue<T> {
-    /// Mutex + condvar fabric.
-    Mutex(BoundedQueue<T>),
     /// Lock-free SPSC ring fabric.
     Spsc(SpscQueue<T>),
     /// Lock-free CAS-claimed MPSC ring fabric.
@@ -261,46 +79,14 @@ impl<T> ReplicaQueue<T> {
     /// Panics if `capacity` is zero.
     pub fn new(kind: QueueKind, capacity: usize) -> ReplicaQueue<T> {
         match kind {
-            QueueKind::Mutex => ReplicaQueue::Mutex(BoundedQueue::new(capacity)),
             QueueKind::Spsc => ReplicaQueue::Spsc(SpscQueue::new(capacity)),
             QueueKind::Mpsc => ReplicaQueue::Mpsc(MpscQueue::new(capacity)),
-        }
-    }
-
-    /// Queue with an explicit park interval for blocked producers (the
-    /// deepest rung of the SPSC fabric's wait ladder; the mutex fabric
-    /// wakes producers via condvar and ignores it). The engine passes its
-    /// `poll_backoff` here.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_park(kind: QueueKind, capacity: usize, park: Duration) -> ReplicaQueue<T> {
-        ReplicaQueue::with_profile(kind, capacity, BackoffProfile::dedicated(park))
-    }
-
-    /// Queue with an explicit wait-ladder shape ([`BackoffProfile`]) for
-    /// blocked producers (the mutex fabric wakes producers via condvar and
-    /// ignores it). The engine passes its oversubscription-aware profile
-    /// here.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_profile(
-        kind: QueueKind,
-        capacity: usize,
-        profile: BackoffProfile,
-    ) -> ReplicaQueue<T> {
-        match kind {
-            QueueKind::Mutex => ReplicaQueue::Mutex(BoundedQueue::new(capacity)),
-            QueueKind::Spsc => ReplicaQueue::Spsc(SpscQueue::with_profile(capacity, profile)),
-            QueueKind::Mpsc => ReplicaQueue::Mpsc(MpscQueue::with_profile(capacity, profile)),
         }
     }
 
     /// Which fabric this queue uses.
     pub fn kind(&self) -> QueueKind {
         match self {
-            ReplicaQueue::Mutex(_) => QueueKind::Mutex,
             ReplicaQueue::Spsc(_) => QueueKind::Spsc,
             ReplicaQueue::Mpsc(_) => QueueKind::Mpsc,
         }
@@ -309,7 +95,6 @@ impl<T> ReplicaQueue<T> {
     /// Capacity the queue was created with.
     pub fn capacity(&self) -> usize {
         match self {
-            ReplicaQueue::Mutex(q) => q.capacity(),
             ReplicaQueue::Spsc(q) => q.capacity(),
             ReplicaQueue::Mpsc(q) => q.capacity(),
         }
@@ -318,7 +103,6 @@ impl<T> ReplicaQueue<T> {
     /// Blocking push (back-pressure). `Err(item)` if closed.
     pub fn push(&self, item: T) -> Result<(), T> {
         match self {
-            ReplicaQueue::Mutex(q) => q.push(item),
             ReplicaQueue::Spsc(q) => q.push(item),
             ReplicaQueue::Mpsc(q) => q.push(item),
         }
@@ -328,19 +112,17 @@ impl<T> ReplicaQueue<T> {
     /// (`Ok(true)`). `Err(item)` if closed.
     pub fn push_tracked(&self, item: T) -> Result<bool, T> {
         match self {
-            ReplicaQueue::Mutex(q) => q.push_tracked(item),
             ReplicaQueue::Spsc(q) => q.push_tracked(item),
             ReplicaQueue::Mpsc(q) => q.push_tracked(item),
         }
     }
 
     /// Non-blocking push: `Err(PushError::Full)` hands the item back when
-    /// the queue is at capacity instead of waiting (the core-pool
-    /// scheduler's flush path — a task yields its worker on back-pressure
-    /// rather than blocking it).
+    /// the queue is at capacity instead of waiting (the engine's flush
+    /// path — a task yields its worker on back-pressure rather than
+    /// blocking it).
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         match self {
-            ReplicaQueue::Mutex(q) => q.try_push(item),
             ReplicaQueue::Spsc(q) => q.try_push(item),
             ReplicaQueue::Mpsc(q) => q.try_push(item),
         }
@@ -350,7 +132,6 @@ impl<T> ReplicaQueue<T> {
     /// close or timeout.
     pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), T> {
         match self {
-            ReplicaQueue::Mutex(q) => q.push_timeout(item, timeout),
             ReplicaQueue::Spsc(q) => q.push_timeout(item, timeout),
             ReplicaQueue::Mpsc(q) => q.push_timeout(item, timeout),
         }
@@ -359,7 +140,6 @@ impl<T> ReplicaQueue<T> {
     /// Blocking batch push. `Err(remaining)` if the queue closes mid-batch.
     pub fn push_n(&self, items: Vec<T>) -> Result<(), Vec<T>> {
         match self {
-            ReplicaQueue::Mutex(q) => q.push_n(items),
             ReplicaQueue::Spsc(q) => q.push_n(items),
             ReplicaQueue::Mpsc(q) => q.push_n(items),
         }
@@ -368,7 +148,6 @@ impl<T> ReplicaQueue<T> {
     /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<T> {
         match self {
-            ReplicaQueue::Mutex(q) => q.try_pop(),
             ReplicaQueue::Spsc(q) => q.try_pop(),
             ReplicaQueue::Mpsc(q) => q.try_pop(),
         }
@@ -377,7 +156,6 @@ impl<T> ReplicaQueue<T> {
     /// Batch pop of up to `max` items into `out`; returns how many.
     pub fn pop_n(&self, out: &mut Vec<T>, max: usize) -> usize {
         match self {
-            ReplicaQueue::Mutex(q) => q.pop_n(out, max),
             ReplicaQueue::Spsc(q) => q.pop_n(out, max),
             ReplicaQueue::Mpsc(q) => q.pop_n(out, max),
         }
@@ -386,7 +164,6 @@ impl<T> ReplicaQueue<T> {
     /// Number of queued items right now.
     pub fn len(&self) -> usize {
         match self {
-            ReplicaQueue::Mutex(q) => q.len(),
             ReplicaQueue::Spsc(q) => q.len(),
             ReplicaQueue::Mpsc(q) => q.len(),
         }
@@ -395,7 +172,6 @@ impl<T> ReplicaQueue<T> {
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
         match self {
-            ReplicaQueue::Mutex(q) => q.is_empty(),
             ReplicaQueue::Spsc(q) => q.is_empty(),
             ReplicaQueue::Mpsc(q) => q.is_empty(),
         }
@@ -405,7 +181,6 @@ impl<T> ReplicaQueue<T> {
     /// queued items remain poppable (drain-on-shutdown).
     pub fn close(&self) {
         match self {
-            ReplicaQueue::Mutex(q) => q.close(),
             ReplicaQueue::Spsc(q) => q.close(),
             ReplicaQueue::Mpsc(q) => q.close(),
         }
@@ -414,7 +189,6 @@ impl<T> ReplicaQueue<T> {
     /// Whether [`ReplicaQueue::close`] has been called.
     pub fn is_closed(&self) -> bool {
         match self {
-            ReplicaQueue::Mutex(q) => q.is_closed(),
             ReplicaQueue::Spsc(q) => q.is_closed(),
             ReplicaQueue::Mpsc(q) => q.is_closed(),
         }
@@ -425,88 +199,10 @@ impl<T> ReplicaQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Instant;
 
     #[test]
-    fn fifo_order() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.push(i).expect("open");
-        }
-        for i in 0..5 {
-            assert_eq!(q.try_pop(), Some(i));
-        }
-        assert_eq!(q.try_pop(), None);
-    }
-
-    #[test]
-    fn push_blocks_until_pop() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0u32).expect("open");
-        let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            q2.push(1).expect("open");
-            t0.elapsed()
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(q.try_pop(), Some(0));
-        let blocked_for = handle.join().expect("no panic");
-        assert!(
-            blocked_for >= Duration::from_millis(30),
-            "producer should have blocked, waited only {blocked_for:?}"
-        );
-        assert_eq!(q.try_pop(), Some(1));
-    }
-
-    #[test]
-    fn push_timeout_expires() {
-        let q = BoundedQueue::new(1);
-        q.push(1u8).expect("open");
-        let t0 = Instant::now();
-        assert!(q.push_timeout(2, Duration::from_millis(20)).is_err());
-        assert!(t0.elapsed() >= Duration::from_millis(19));
-    }
-
-    #[test]
-    fn close_wakes_blocked_producer() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0u8).expect("open");
-        let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.push(1));
-        std::thread::sleep(Duration::from_millis(30));
-        q.close();
-        assert!(handle.join().expect("no panic").is_err());
-        // Existing items still drain.
-        assert_eq!(q.try_pop(), Some(0));
-        assert!(q.push(2).is_err());
-    }
-
-    #[test]
-    fn len_tracks_contents() {
-        let q = BoundedQueue::new(4);
-        assert!(q.is_empty());
-        q.push('a').expect("open");
-        q.push('b').expect("open");
-        assert_eq!(q.len(), 2);
-        q.try_pop();
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn batch_ops_single_lock_roundtrip() {
-        let q = BoundedQueue::new(8);
-        q.push_n((0..6).collect()).expect("open");
-        assert_eq!(q.len(), 6);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_n(&mut out, 4), 4);
-        assert_eq!(q.pop_n(&mut out, 4), 2);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn replica_queue_dispatches_all_fabrics() {
-        for kind in [QueueKind::Mutex, QueueKind::Spsc, QueueKind::Mpsc] {
+    fn replica_queue_dispatches_both_rings() {
+        for kind in [QueueKind::Spsc, QueueKind::Mpsc] {
             let q: ReplicaQueue<u32> = ReplicaQueue::new(kind, 4);
             assert_eq!(q.kind(), kind);
             assert_eq!(q.capacity(), 4);
@@ -528,13 +224,12 @@ mod tests {
     fn spsc_preference_upgrades_to_mpsc_for_multiple_producers() {
         assert_eq!(QueueKind::Spsc.for_producers(1), QueueKind::Spsc);
         assert_eq!(QueueKind::Spsc.for_producers(4), QueueKind::Mpsc);
-        assert_eq!(QueueKind::Mutex.for_producers(4), QueueKind::Mutex);
         assert_eq!(QueueKind::Mpsc.for_producers(1), QueueKind::Mpsc);
     }
 
     #[test]
-    fn push_tracked_reports_stalls_on_all_fabrics() {
-        for kind in [QueueKind::Mutex, QueueKind::Spsc, QueueKind::Mpsc] {
+    fn push_tracked_reports_stalls_on_both_rings() {
+        for kind in [QueueKind::Spsc, QueueKind::Mpsc] {
             let q: Arc<ReplicaQueue<u32>> = Arc::new(ReplicaQueue::new(kind, 1));
             // Uncontended push: no stall.
             assert!(!q.push_tracked(1).expect("open"), "{kind}");
@@ -549,42 +244,6 @@ mod tests {
                 "{kind}: full-queue push should report a stall"
             );
             assert_eq!(q.try_pop(), Some(2));
-        }
-    }
-
-    #[test]
-    fn mpsc_under_contention() {
-        let q = Arc::new(BoundedQueue::new(16));
-        let producers = 4;
-        let per_producer = 500u32;
-        let mut handles = Vec::new();
-        for p in 0..producers {
-            let q = Arc::clone(&q);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..per_producer {
-                    q.push((p, i)).expect("open");
-                }
-            }));
-        }
-        let mut seen = vec![Vec::new(); producers];
-        let expect = producers as u32 * per_producer;
-        let mut count = 0;
-        while count < expect {
-            if let Some((p, i)) = q.try_pop() {
-                seen[p].push(i);
-                count += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        for h in handles {
-            h.join().expect("no panic");
-        }
-        // Per-producer FIFO must hold even under contention.
-        for s in seen {
-            let mut sorted = s.clone();
-            sorted.sort_unstable();
-            assert_eq!(s, sorted);
         }
     }
 }

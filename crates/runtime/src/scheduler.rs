@@ -1,12 +1,11 @@
-//! Execution schedulers: thread-per-replica and the work-stealing core pool.
+//! The engine's executor: a work-stealing pool of worker threads.
 //!
 //! BriskStream's RLAS optimizer places *replicas* on cores, but mapping one
-//! OS thread per replica couples the two decisions: a fused chain
-//! serializes onto a single host thread even when neighbouring cores idle,
-//! and oversubscribed plans lean on the detect-and-park ladder. The
-//! [`Scheduler::CorePool`] mode decouples them, in the spirit of
-//! timely-dataflow's worker model: a fixed set of workers multiplexes
-//! per-replica operator *tasks* through work-stealing run queues.
+//! OS thread per replica would couple replica counts to thread counts: a
+//! plan with hundreds of replicas would oversubscribe the host. The engine
+//! decouples them, in the spirit of timely-dataflow's worker model: a fixed
+//! set of workers ([`Scheduler::CorePool`]) multiplexes per-replica
+//! operator *tasks* through work-stealing run queues.
 //!
 //! # Task lifecycle
 //!
@@ -26,9 +25,9 @@
 //!
 //! A *slice* drains up to a bounded number of jumbos from the task's input
 //! ports (or invokes a spout a bounded number of times), runs the operator
-//! — including its whole fused subtree, inline, exactly as under
-//! thread-per-replica execution — and flushes. Bounding the slice keeps one
-//! hot replica from starving the rest of a worker's run queue.
+//! — including its whole fused subtree, inline — and flushes. Bounding the
+//! slice keeps one hot replica from starving the rest of a worker's run
+//! queue.
 //!
 //! Queue pushes wake the consumer's task through the [`WakeHub`]: a
 //! compare-and-swap from `IDLE` to `READY` enqueues the task on the shared
@@ -47,15 +46,32 @@
 //! back-pressured producer starve its just-woken consumers on a small
 //! pool. A dry worker then steals from the *back* of sibling queues —
 //! the slot its owner would reach last. A worker with
-//! no task anywhere falls back to the same adaptive spin → yield → park
-//! ladder ([`Backoff`]) that idle executors use under thread-per-replica
-//! execution, so an idle pool costs what an idle executor pool costs.
+//! no task anywhere falls back to the adaptive spin → yield → park ladder
+//! ([`Backoff`]), so idle workers end up parked rather than spinning.
 //!
-//! Back-pressure cannot block a worker: pool collectors run in
-//! non-blocking flush mode, so a full destination queue hands the jumbo
-//! back, the task reports itself back-pressured and *yields* its worker
-//! instead of parking it — the single-worker pool therefore cannot
-//! deadlock on a producer→consumer cycle through a bounded queue.
+//! # Home workers
+//!
+//! A task that yields after getting work done requeues on the worker that
+//! ran it, where its state is cache-warm. A task that *stalled* — a
+//! back-pressured producer, a spout with nothing to emit — requeues on its
+//! **home worker** instead, fixed at spawn: spouts share the last worker,
+//! every other task goes round-robin over the workers before it.
+//!
+//! A stalled task never sleeps (nothing would wake it), so it keeps
+//! whatever queue it sits on from running dry. Left where the start-up
+//! race for the injector happened to put it, it pins that placement for
+//! the rest of the run: a back-pressured bolt picked up by the worker the
+//! saturating spout polls on stays there, its consumers queue up on the
+//! other worker, and Word Count runs at 1.7 M or 3.0 M events/s by the luck
+//! of that race. Homes make where stalled tasks wait a function of the
+//! plan, not of timing — and keep the tasks that stall by design, the
+//! spouts, off the queues of the bolts they are waiting for.
+//!
+//! Back-pressure cannot block a worker: collectors only ever `try_push`,
+//! so a full destination queue hands the jumbo back, the task reports
+//! itself back-pressured and *yields* its worker instead of parking it —
+//! the single-worker pool therefore cannot deadlock on a
+//! producer→consumer cycle through a bounded queue.
 
 use crate::engine::{
     consume_batch, emergency_retire, merge_and_retire, replay_pending, BoltState, EngineShared,
@@ -67,9 +83,9 @@ use crate::queue::ReplicaQueue;
 use crate::spsc::Backoff;
 use crate::supervise::{panic_message, FaultKind};
 use crate::tuple::JumboTuple;
+use brisk_dag::OperatorKind;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -77,14 +93,10 @@ use std::thread::{self, JoinHandle, Thread};
 use std::time::Instant;
 
 /// How the engine maps operator replicas onto OS threads
-/// ([`crate::EngineConfig::scheduler`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// ([`crate::EngineConfig::scheduler`]). There is one executor; its width
+/// is the only setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// One OS thread per spawned replica — the paper's executor model.
-    /// Replica counts and thread counts are coupled; oversubscribed plans
-    /// rely on the adaptive park ladder.
-    #[default]
-    ThreadPerReplica,
     /// A fixed pool of workers drives per-replica tasks through
     /// work-stealing run queues (see the [module docs](self)). Replica
     /// counts no longer dictate thread counts, so a plan with hundreds of
@@ -96,34 +108,26 @@ pub enum Scheduler {
     },
 }
 
-impl fmt::Display for Scheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Scheduler::ThreadPerReplica => write!(f, "thread_per_replica"),
-            Scheduler::CorePool { workers: 0 } => write!(f, "core_pool(auto)"),
-            Scheduler::CorePool { workers } => write!(f, "core_pool({workers})"),
-        }
+impl Default for Scheduler {
+    /// A pool sized to the host's available parallelism.
+    fn default() -> Self {
+        Scheduler::CorePool { workers: 0 }
     }
 }
 
 impl Scheduler {
-    /// Resolved pool width for `tasks` spawned replicas: `None` under
-    /// thread-per-replica execution, otherwise at least one worker and at
-    /// most one per task.
-    pub(crate) fn pool_workers(&self, tasks: usize) -> Option<usize> {
-        match *self {
-            Scheduler::ThreadPerReplica => None,
-            Scheduler::CorePool { workers } => {
-                let w = if workers == 0 {
-                    thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(1)
-                } else {
-                    workers
-                };
-                Some(w.clamp(1, tasks.max(1)))
-            }
-        }
+    /// Resolved pool width for `tasks` spawned replicas: at least one
+    /// worker and at most one per task.
+    pub(crate) fn pool_workers(&self, tasks: usize) -> usize {
+        let Scheduler::CorePool { workers } = *self;
+        let w = if workers == 0 {
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        } else {
+            workers
+        };
+        w.clamp(1, tasks.max(1))
     }
 }
 
@@ -133,7 +137,7 @@ const READY: u8 = 1;
 const RUNNING: u8 = 2;
 const DONE: u8 = 3;
 
-/// Wake-on-push hub shared by the pool's workers and every pool-mode
+/// Wake-on-push hub shared by the pool's workers and every engine
 /// [`Collector`]: task states plus the injector queue freshly woken tasks
 /// land on. Fused-away replicas keep the `DONE` state they are born with,
 /// so waking them is a no-op.
@@ -193,8 +197,8 @@ struct TaskMeta {
     producer_ops: Vec<usize>,
 }
 
-/// One schedulable replica: the operator instance plus everything its
-/// thread owned under thread-per-replica execution.
+/// One schedulable replica: the operator instance plus its collector,
+/// input ports and supervision state.
 struct Task {
     op_index: usize,
     body: TaskBody,
@@ -209,7 +213,7 @@ struct Task {
     ctx: BoltContext,
     /// Contained panics so far, checked against the restart policy.
     attempts: u32,
-    /// Restart backoff in pool clothing: instead of sleeping a worker, the
+    /// Restart backoff: instead of sleeping a worker, the
     /// task yields unproductively until this instant passes.
     resume_at: Option<Instant>,
     /// Restart budget exhausted: skip the operator's `finish`, drain
@@ -264,7 +268,7 @@ fn run_slice(task: &mut Task, shared: &EngineShared) -> SliceOutcome {
     if task.finished {
         return finish_task(task, shared);
     }
-    // Restart backoff, pool style: the task stays runnable but does no
+    // Restart backoff: the task stays runnable but does no
     // work until its resume instant passes — a sleeping worker would
     // starve every other task on its deque.
     if let Some(at) = task.resume_at {
@@ -413,7 +417,7 @@ fn run_bolt_slice(
     Step::Yield(progressed)
 }
 
-/// Pool-side restart supervisor: on a granted restart, re-instance the
+/// Restart supervisor: on a granted restart, re-instance the
 /// operator (unless `recover()` keeps it) and schedule the backoff as a
 /// yield-until instant; on a denied one, close the task's *input* queues
 /// (producers fail fast; outputs stay open for live consumers) and retire
@@ -558,6 +562,8 @@ struct PoolShared {
     slots: Vec<Mutex<Option<Task>>>,
     /// Sleep-path recheck data (input queues + producer latches).
     meta: Vec<Option<TaskMeta>>,
+    /// Home worker by global replica index: where a stalled task requeues.
+    home: Vec<usize>,
     sink: Mutex<SinkLocal>,
 }
 
@@ -589,9 +595,26 @@ impl PoolRun {
     }
 }
 
-/// Instantiate every seed as a task, seed the run queues round-robin (in
-/// the given order — the engine passes reverse-topological, so consumers
-/// land early), and spawn `workers` pool workers.
+/// Home worker of each task, from the tasks' kinds in seeding order: spouts
+/// share the last worker, everything else goes round-robin over the workers
+/// before it. A single worker is everybody's home.
+fn home_workers(kinds: impl Iterator<Item = OperatorKind>, workers: usize) -> Vec<usize> {
+    let bolt_workers = (workers - 1).max(1);
+    let mut bolts = 0;
+    kinds
+        .map(|kind| match kind {
+            OperatorKind::Spout => workers - 1,
+            OperatorKind::Bolt | OperatorKind::Sink => {
+                bolts += 1;
+                (bolts - 1) % bolt_workers
+            }
+        })
+        .collect()
+}
+
+/// Instantiate every seed as a task, queue each on its home worker (in the
+/// given order — the engine passes reverse-topological, so consumers land
+/// early), and spawn `workers` pool workers.
 pub(crate) fn spawn_pool(
     seeds: Vec<TaskSeed>,
     hub: Arc<WakeHub>,
@@ -603,8 +626,11 @@ pub(crate) fn spawn_pool(
     let mut meta: Vec<Option<TaskMeta>> = (0..total).map(|_| None).collect();
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, seed) in seeds.into_iter().enumerate() {
+    let homes = home_workers(seeds.iter().map(|s| s.kind), workers);
+    let mut home = vec![0; total];
+    for (seed, at) in seeds.into_iter().zip(homes) {
         let t = seed.global;
+        home[t] = at;
         meta[t] = Some(TaskMeta {
             queues: seed.ports.iter().map(|p| Arc::clone(&p.queue)).collect(),
             producer_ops: seed.producer_ops.clone(),
@@ -642,13 +668,14 @@ pub(crate) fn spawn_pool(
             dead: false,
         });
         hub.states[t].store(READY, Ordering::Release);
-        deques[i % workers].lock().push_back(t);
+        deques[home[t]].lock().push_back(t);
     }
     let pool = Arc::new(PoolShared {
         hub,
         deques,
         slots,
         meta,
+        home,
         sink: Mutex::new(SinkLocal::default()),
     });
     let handles = (0..workers)
@@ -738,7 +765,14 @@ fn worker_loop(w: usize, pool: &PoolShared, shared: &EngineShared) {
                         // a run queue always has its task in its slot.
                         *pool.slots[t].lock() = Some(task);
                         pool.hub.states[t].store(READY, Ordering::Release);
-                        pool.deques[w].lock().push_back(t);
+                        // Cache-warm here if it got work done; home if it
+                        // stalled (see "Home workers" in the module docs).
+                        // A parked home worker is not unparked for it: a
+                        // stalled task has nothing to hurry for, and the
+                        // extra wake-ups made how often an idle spout is
+                        // polled — and with it paced latency — unsteady.
+                        let next = if progressed { w } else { pool.home[t] };
+                        pool.deques[next].lock().push_back(t);
                         if progressed {
                             unproductive = 0;
                             backoff.reset();
@@ -799,4 +833,19 @@ fn snooze_idle(pool: &PoolShared, backoff: &mut Backoff) {
     pool.hub.idle_workers.fetch_add(1, Ordering::AcqRel);
     backoff.snooze();
     pool.hub.idle_workers.fetch_sub(1, Ordering::AcqRel);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use OperatorKind::{Bolt, Sink, Spout};
+
+    #[test]
+    fn spouts_are_at_home_on_the_last_worker_and_bolts_on_the_others() {
+        // Seeding order is reverse-topological: sink first, spout last.
+        let kinds = [Sink, Bolt, Bolt, Bolt, Spout, Spout];
+        assert_eq!(home_workers(kinds.into_iter(), 1), [0, 0, 0, 0, 0, 0]);
+        assert_eq!(home_workers(kinds.into_iter(), 2), [0, 0, 0, 0, 1, 1]);
+        assert_eq!(home_workers(kinds.into_iter(), 3), [0, 1, 0, 1, 2, 2]);
+    }
 }

@@ -1,9 +1,9 @@
 //! Cache-conscious lock-free SPSC ring buffer — the fast queue fabric.
 //!
 //! The engine wires **exactly one** producer replica to **exactly one**
-//! consumer replica per queue (see `Engine::run_inner`), so the general
-//! MPSC mutex queue pays for synchronization nobody needs. This ring
-//! exploits the 1:1 structure:
+//! consumer replica per queue (see `Engine::start`), so a general
+//! multi-producer queue would pay for synchronization nobody needs. This
+//! ring exploits the 1:1 structure:
 //!
 //! * **Fixed power-of-two ring** of `UnsafeCell<MaybeUninit<T>>` slots;
 //!   head/tail are monotonically increasing indices masked into the ring,
@@ -29,17 +29,18 @@
 //! a time. Either role may migrate to a different thread only through an
 //! external happens-before edge (thread spawn/join, channel handoff).
 //! Violating this is a data race (undefined behaviour) — the engine's
-//! per-pair wiring guarantees it by construction, and [`crate::queue::QueueKind`]
-//! keeps the mutex queue available for genuinely multi-producer uses.
+//! per-pair wiring guarantees it by construction, and
+//! [`crate::queue::QueueKind::for_producers`] switches genuinely
+//! multi-producer queues to the MPSC ring.
 //! Debug builds carry a best-effort tripwire that panics when it observes
 //! two threads inside the same role concurrently; release builds pay
 //! nothing. `len`, `is_empty`, `close` and `is_closed` are safe from any
 //! thread.
 //!
-//! Close/drain semantics match [`crate::queue::BoundedQueue`]: `close`
-//! fails subsequent pushes and unblocks waiting producers (they observe the
-//! flag within one park interval), while items already in the ring remain
-//! poppable so shutdown drains every in-flight tuple.
+//! Close/drain semantics: `close` fails subsequent pushes and unblocks
+//! waiting producers (they observe the flag within one park interval),
+//! while items already in the ring remain poppable so shutdown drains every
+//! in-flight tuple.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -113,7 +114,7 @@ impl<'a> RoleGuard<'a> {
         assert!(
             !flag.swap(true, Ordering::Acquire),
             "concurrent {role}s detected: SpscQueue allows only one {role} at a time \
-             (use QueueKind::Mutex for multi-{role} wiring)"
+             (use QueueKind::Mpsc for multi-producer wiring)"
         );
         RoleGuard(flag)
     }
@@ -258,8 +259,7 @@ impl<T> SpscQueue<T> {
 
     /// Push with a deadline. `Err(item)` on close *or* timeout. The
     /// deadline is computed **before** any waiting, so time spent blocked
-    /// on a full ring counts against the caller's budget (mirrors the
-    /// fixed [`crate::queue::BoundedQueue::push_timeout`] semantics).
+    /// on a full ring counts against the caller's budget.
     /// Producer-side only.
     pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), T> {
         let deadline = Instant::now() + timeout;

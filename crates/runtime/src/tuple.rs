@@ -4,18 +4,18 @@
 //! the zero-copy batch fabric landed, the unit of exchange is a typed,
 //! arena-backed [`crate::batch::Batch`]: payloads live contiguously in one
 //! refcounted slab, and a [`JumboTuple`] — one batch under a shared header
-//! — costs a single queue insertion to move. The legacy [`Tuple`] (one
-//! `Arc` handle per tuple) remains as the owned bridge type for profiling
-//! and the `#[deprecated]` emit shims.
+//! — costs a single queue insertion to move. [`Tuple`] (one `Arc` handle
+//! per tuple) remains as the owned bridge type the profiler materialises
+//! sample inputs into ([`Batch::to_tuple`]).
 
 use crate::batch::Batch;
 use std::any::Any;
 use std::sync::Arc;
 
 /// A single owned stream tuple: shared payload + minimal per-tuple
-/// metadata. Since the batch fabric, operators read tuples through
-/// [`crate::batch::TupleView`]; `Tuple` survives as the owned bridge for
-/// profiling, capture and the deprecated emit path.
+/// metadata. Operators read tuples through [`crate::batch::TupleView`];
+/// `Tuple` is the owned bridge for profiling and capture
+/// ([`Batch::to_tuple`], [`crate::batch::TupleView::of_tuple`]).
 #[derive(Clone)]
 pub struct Tuple {
     /// The payload, shared by reference.
@@ -28,42 +28,6 @@ pub struct Tuple {
 }
 
 impl Tuple {
-    /// Wrap `value` as a tuple with key 0.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use the typed batch path: `Collector::send_default(value, event_ns, 0)`"
-    )]
-    pub fn new<T: Any + Send + Sync>(value: T, event_ns: u64) -> Tuple {
-        Tuple {
-            payload: Arc::new(value),
-            event_ns,
-            key: 0,
-        }
-    }
-
-    /// Wrap `value` with an explicit partitioning key.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use the typed batch path: `Collector::send(stream, value, event_ns, key)`"
-    )]
-    pub fn keyed<T: Any + Send + Sync>(value: T, event_ns: u64, key: u64) -> Tuple {
-        Tuple {
-            payload: Arc::new(value),
-            event_ns,
-            key,
-        }
-    }
-
-    /// Downcast the payload.
-    #[deprecated(
-        since = "0.8.0",
-        note = "operators receive `TupleView`s — use `TupleView::value` (or \
-                `Batch::payloads` for the per-batch downcast)"
-    )]
-    pub fn value<T: Any + Send + Sync>(&self) -> Option<&T> {
-        self.payload.downcast_ref::<T>()
-    }
-
     /// Hash an arbitrary key into the 64-bit partitioning key space
     /// (FNV-1a; stable across runs, unlike `DefaultHasher` with random
     /// seeds).
@@ -133,26 +97,21 @@ impl JumboTuple {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
     #[test]
     fn payload_is_shared_not_copied() {
-        let t = Tuple::new(String::from("hello"), 42);
+        let t = Tuple {
+            payload: Arc::new(String::from("hello")),
+            event_ns: 42,
+            key: 0,
+        };
         let clone = t.clone();
         // Arc::ptr_eq proves pass-by-reference: both handles point at the
         // same allocation.
         assert!(Arc::ptr_eq(&t.payload, &clone.payload));
-        assert_eq!(clone.value::<String>().map(String::as_str), Some("hello"));
         assert_eq!(clone.event_ns, 42);
-    }
-
-    #[test]
-    fn downcast_wrong_type_is_none() {
-        let t = Tuple::new(7u32, 0);
-        assert!(t.value::<String>().is_none());
-        assert_eq!(t.value::<u32>(), Some(&7));
     }
 
     #[test]
@@ -166,11 +125,7 @@ mod tests {
 
     #[test]
     fn jumbo_len() {
-        let j = JumboTuple::new(
-            0,
-            0,
-            Batch::from_tuples(vec![Tuple::new(1u8, 0), Tuple::new(2u8, 0)]),
-        );
+        let j = JumboTuple::new(0, 0, Batch::from_rows([(1u8, 0, 0), (2u8, 0, 0)]));
         assert_eq!(j.len(), 2);
         assert!(!j.is_empty());
         // The batch shares its slab with clones of the jumbo's view.

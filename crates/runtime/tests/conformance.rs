@@ -1,12 +1,12 @@
-//! Engine conformance suite: exactly-once tuple accounting for all four
-//! benchmark applications across the full scheduler × fabric × fusion
-//! matrix {ThreadPerReplica, CorePool} × {Spsc, Mutex, Mpsc} × {fusion
-//! on, fusion off}.
+//! Engine conformance suite: exactly-once tuple accounting for all six
+//! benchmark applications with operator fusion on and off, on a two-worker
+//! pool (fewer workers than tasks, so every run exercises stealing,
+//! yielding on back-pressure and wake-on-push).
 //!
-//! Every cell runs a deterministic sized workload to exhaustion and checks
-//! the conservation laws the engine must never violate, whatever the queue
-//! fabric or execution shape (queued replicas, MPSC funnels, fused chains,
-//! pairwise-fused replica pairs, work-stealing pool workers):
+//! Both cells run a deterministic sized workload to exhaustion and check
+//! the conservation laws the engine must never violate, whatever the
+//! execution shape (queued replicas, MPSC funnels, fused chains,
+//! pairwise-fused replica pairs):
 //!
 //! * the spouts emit exactly the configured input budget (the sized
 //!   generators split it across replicas without loss or duplication);
@@ -21,56 +21,41 @@
 //! * for the linear apps (WC/FD/SD — every operator emits a
 //!   content-deterministic number of tuples per input), the full
 //!   per-operator `processed`/`emitted` vectors are **identical across
-//!   all twelve matrix cells**: the scheduler, the fabric and the
-//!   execution shape may change where and when tuples flow, never how
-//!   many. (LR's accident detector emits based on cross-replica arrival
-//!   interleaving, so LR asserts the conservation laws per cell instead.)
+//!   both cells**: the execution shape may change where and when tuples
+//!   flow, never how many. (LR's accident detector emits based on
+//!   cross-replica arrival interleaving, so LR asserts the conservation
+//!   laws per cell instead.)
 
 use brisk_apps::app_sized;
 use brisk_dag::{CostProfile, OperatorKind, Partitioning, TopologyBuilder, DEFAULT_STREAM};
 use brisk_runtime::{
-    AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig, QueueKind, RunReport,
+    AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig, EngineConfigBuilder, RunReport,
     Scheduler, SpoutStatus, TupleView,
 };
 use std::time::Duration;
 
-const KINDS: [QueueKind; 3] = [QueueKind::Spsc, QueueKind::Mutex, QueueKind::Mpsc];
-const SCHEDULERS: [Scheduler; 2] = [
-    Scheduler::ThreadPerReplica,
-    Scheduler::CorePool { workers: 2 },
-];
-
 struct Cell {
-    scheduler: Scheduler,
-    kind: QueueKind,
     fusion: bool,
     report: RunReport,
 }
 
-fn run_matrix(abbrev: &str, replication: Vec<usize>, budget: u64) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let app = app_sized(abbrev, budget).expect("known app");
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .build();
-                let engine =
-                    Engine::new(app, replication.clone(), config).expect("valid engine config");
-                let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-                cells.push(Cell {
-                    scheduler,
-                    kind,
-                    fusion,
-                    report,
-                });
-            }
-        }
-    }
-    cells
+fn cell_config(fusion: bool) -> EngineConfigBuilder {
+    EngineConfig::builder()
+        .scheduler(Scheduler::CorePool { workers: 2 })
+        .fusion(fusion)
+}
+
+fn run_cells(abbrev: &str, replication: Vec<usize>, budget: u64) -> Vec<Cell> {
+    [true, false]
+        .into_iter()
+        .map(|fusion| {
+            let app = app_sized(abbrev, budget).expect("known app");
+            let engine = Engine::new(app, replication.clone(), cell_config(fusion).build())
+                .expect("valid engine config");
+            let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
+            Cell { fusion, report }
+        })
+        .collect()
 }
 
 /// Assert the conservation laws on one run.
@@ -80,10 +65,7 @@ fn check_conservation(abbrev: &str, replication: &[usize], budget: u64, cell: &C
         .find(|(a, _)| *a == abbrev)
         .map(|(_, t)| t)
         .expect("known app");
-    let ctx = format!(
-        "{abbrev} {} {} fusion={}",
-        cell.scheduler, cell.kind, cell.fusion
-    );
+    let ctx = format!("{abbrev} fusion={}", cell.fusion);
     let r = &cell.report;
 
     // Spouts emit exactly the input budget.
@@ -143,7 +125,7 @@ fn check_conservation(abbrev: &str, replication: &[usize], budget: u64, cell: &C
     );
 }
 
-/// Assert all twelve cells produced identical per-operator counter vectors
+/// Assert both cells produced identical per-operator counter vectors
 /// (content-deterministic apps only).
 fn check_cross_config_determinism(abbrev: &str, cells: &[Cell]) {
     let counts = |r: &RunReport| -> (Vec<u64>, Vec<u64>) {
@@ -158,26 +140,14 @@ fn check_cross_config_determinism(abbrev: &str, cells: &[Cell]) {
     for cell in &cells[1..] {
         let (processed, emitted) = counts(&cell.report);
         assert_eq!(
-            processed,
-            ref_processed,
-            "{abbrev}: processed differs between {} {} fusion={} and {} {} fusion={}",
-            cell.scheduler,
-            cell.kind,
-            cell.fusion,
-            reference.scheduler,
-            reference.kind,
-            reference.fusion
+            processed, ref_processed,
+            "{abbrev}: processed differs between fusion={} and fusion={}",
+            cell.fusion, reference.fusion
         );
         assert_eq!(
-            emitted,
-            ref_emitted,
-            "{abbrev}: emitted differs between {} {} fusion={} and {} {} fusion={}",
-            cell.scheduler,
-            cell.kind,
-            cell.fusion,
-            reference.scheduler,
-            reference.kind,
-            reference.fusion
+            emitted, ref_emitted,
+            "{abbrev}: emitted differs between fusion={} and fusion={}",
+            cell.fusion, reference.fusion
         );
         assert_eq!(
             cell.report.sink_events, reference.report.sink_events,
@@ -187,7 +157,7 @@ fn check_cross_config_determinism(abbrev: &str, cells: &[Cell]) {
 }
 
 fn conformance(abbrev: &str, replication: Vec<usize>, budget: u64, deterministic: bool) {
-    let cells = run_matrix(abbrev, replication.clone(), budget);
+    let cells = run_cells(abbrev, replication.clone(), budget);
     for cell in &cells {
         check_conservation(abbrev, &replication, budget, cell);
     }
@@ -197,20 +167,20 @@ fn conformance(abbrev: &str, replication: Vec<usize>, budget: u64, deterministic
 }
 
 #[test]
-fn word_count_conforms_across_the_matrix() {
+fn word_count_conforms_fused_and_unfused() {
     // Multi-replica splitter/counter: KeyBy fan-out plus a 1:1 fused head.
     conformance("WC", vec![1, 1, 3, 2, 1], 1200, true);
 }
 
 #[test]
-fn fraud_detection_conforms_across_the_matrix() {
-    // 2:2 Forward head — pairwise fusion in the fusion=on cells — feeding
+fn fraud_detection_conforms_fused_and_unfused() {
+    // 2:2 Forward head — pairwise fusion in the fusion=on cell — feeding
     // a 3-replica KeyBy predictor.
     conformance("FD", vec![2, 2, 3, 1], 2000, true);
 }
 
 #[test]
-fn spike_detection_conforms_across_the_matrix() {
+fn spike_detection_conforms_fused_and_unfused() {
     // The aligned-KeyBy pair: moving_average(2) → spike_detect(2) fuses
     // pairwise when fusion is on; parser funnels 2 spouts' tuples.
     conformance("SD", vec![2, 1, 2, 2, 1], 2000, true);
@@ -237,50 +207,40 @@ impl DynBolt for NullSink {
     fn execute(&mut self, _t: &TupleView<'_>, _c: &mut Collector) {}
 }
 
-/// Broadcast fan-out across the full matrix: each sealed slab is shared
-/// by all three sink replicas, and the per-copy accounting must be the
-/// same whether that slab travelled an SPSC ring, the mutex queue, the
-/// MPSC funnel or a fused edge — emitted once per logical tuple,
-/// processed once per delivered copy, with slab seals bounded by the
-/// *logical* tuple count (a payload-copying fabric would need one slab
-/// per copy, 3× more).
+/// Broadcast fan-out: each sealed slab is shared by all three sink
+/// replicas, and the per-copy accounting must hold with fusion on and off
+/// — emitted once per logical tuple, processed once per delivered copy,
+/// with slab seals bounded by the *logical* tuple count (a payload-copying
+/// fabric would need one slab per copy, 3× more).
 #[test]
-fn broadcast_shared_batches_conform_across_the_matrix() {
+fn broadcast_shared_batches_conform_fused_and_unfused() {
     let budget = 600u64;
     let mut reports = Vec::new();
-    for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let mut b = TopologyBuilder::new("bc");
-                let s = b.add_spout("src", CostProfile::trivial());
-                let k = b.add_sink("out", CostProfile::trivial());
-                b.connect(s, DEFAULT_STREAM, k, Partitioning::Broadcast);
-                let t = b.build().expect("valid topology");
-                let (s, k) = (t.find("src").expect("src"), t.find("out").expect("out"));
-                let app = AppRuntime::new(t)
-                    .spout(s, move |_| SeqSpout {
-                        next: 0,
-                        limit: budget,
-                    })
-                    .sink(k, |_| NullSink);
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .build();
-                let engine = Engine::new(app, vec![1, 3], config).expect("valid engine config");
-                let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-                let ctx = format!("bc {scheduler} {kind} fusion={fusion}");
-                assert_eq!(report.operator(0).emitted, budget, "{ctx}");
-                assert_eq!(report.operator(1).processed, budget * 3, "{ctx}");
-                assert_eq!(report.sink_events, budget * 3, "{ctx}");
-                assert!(
-                    report.slab_allocs + report.slab_recycled <= budget,
-                    "{ctx}: slab seals must not scale with broadcast copies"
-                );
-                reports.push((ctx, report));
-            }
-        }
+    for fusion in [true, false] {
+        let mut b = TopologyBuilder::new("bc");
+        let s = b.add_spout("src", CostProfile::trivial());
+        let k = b.add_sink("out", CostProfile::trivial());
+        b.connect(s, DEFAULT_STREAM, k, Partitioning::Broadcast);
+        let t = b.build().expect("valid topology");
+        let (s, k) = (t.find("src").expect("src"), t.find("out").expect("out"));
+        let app = AppRuntime::new(t)
+            .spout(s, move |_| SeqSpout {
+                next: 0,
+                limit: budget,
+            })
+            .sink(k, |_| NullSink);
+        let engine =
+            Engine::new(app, vec![1, 3], cell_config(fusion).build()).expect("valid engine config");
+        let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
+        let ctx = format!("bc fusion={fusion}");
+        assert_eq!(report.operator(0).emitted, budget, "{ctx}");
+        assert_eq!(report.operator(1).processed, budget * 3, "{ctx}");
+        assert_eq!(report.sink_events, budget * 3, "{ctx}");
+        assert!(
+            report.slab_allocs + report.slab_recycled <= budget,
+            "{ctx}: slab seals must not scale with broadcast copies"
+        );
+        reports.push((ctx, report));
     }
     let reference: Vec<u64> = reports[0]
         .1
@@ -295,21 +255,21 @@ fn broadcast_shared_batches_conform_across_the_matrix() {
 }
 
 /// The join-shaped workload tier: two spouts KeyBy into a stateful
-/// window-join bolt. Beyond the generic conservation laws, every cell's
+/// window-join bolt. Beyond the generic conservation laws, each cell's
 /// match *multiset* must be bit-identical to the single-threaded oracle:
 /// the sink volume equals the oracle pair count, and the join replicas'
 /// harvested digests (count ‖ xor ‖ sum of canonical pair hashes) merge
-/// to exactly the oracle digest — exactly-once match accounting under
-/// every scheduler, fabric and fusion shape.
+/// to exactly the oracle digest — exactly-once match accounting fused and
+/// unfused.
 #[test]
-fn stream_join_conforms_and_matches_the_oracle_across_the_matrix() {
+fn stream_join_conforms_and_matches_the_oracle_fused_and_unfused() {
     use brisk_apps::stream_join::{self, JoinDigest};
     use brisk_runtime::RunLimit;
 
     let budget = 1200u64;
     // Sink replicated like the join: the KeyBy edge below the (key-
-    // confined, key-preserving) join is aligned, so the fusion=on cells
-    // exercise pairwise fusion of a stateful two-upstream operator.
+    // confined, key-preserving) join is aligned, so the fusion=on cell
+    // exercises pairwise fusion of a stateful two-upstream operator.
     let replication = vec![2usize, 3, 2, 3];
     let (left_total, right_total) = stream_join::side_totals(budget);
     let expected = stream_join::oracle(left_total, right_total);
@@ -320,49 +280,35 @@ fn stream_join_conforms_and_matches_the_oracle_across_the_matrix() {
         .0;
 
     let mut cells = Vec::new();
-    for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let ctx = format!("SJ {scheduler} {kind} fusion={fusion}");
-                let app = app_sized("SJ", budget).expect("known app");
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .build();
-                let mut engine =
-                    Engine::new(app, replication.clone(), config).expect("valid engine config");
-                engine.capture_state_on_stop(true);
-                let (report, state) = engine
-                    .start(RunLimit::Events {
-                        events: u64::MAX,
-                        timeout: Duration::from_secs(120),
-                    })
-                    .join_with_state();
+    for fusion in [true, false] {
+        let ctx = format!("SJ fusion={fusion}");
+        let app = app_sized("SJ", budget).expect("known app");
+        let mut engine = Engine::new(app, replication.clone(), cell_config(fusion).build())
+            .expect("valid engine config");
+        engine.capture_state_on_stop(true);
+        let (report, state) = engine
+            .start(RunLimit::Events {
+                events: u64::MAX,
+                timeout: Duration::from_secs(120),
+            })
+            .join_with_state();
 
-                // Every matched pair reached the sink exactly once.
-                assert_eq!(
-                    report.sink_events, expected.count,
-                    "{ctx}: sink volume != oracle match count"
-                );
-                // The replicas' merged digests reproduce the oracle's
-                // match multiset bit-exactly.
-                let mut digest = JoinDigest::default();
-                for (op, _replica, entries) in &state {
-                    if *op == join_op {
-                        digest.merge(&JoinDigest::from_entries(entries));
-                    }
-                }
-                assert_eq!(digest, expected, "{ctx}: match multiset diverged");
-
-                cells.push(Cell {
-                    scheduler,
-                    kind,
-                    fusion,
-                    report,
-                });
+        // Every matched pair reached the sink exactly once.
+        assert_eq!(
+            report.sink_events, expected.count,
+            "{ctx}: sink volume != oracle match count"
+        );
+        // The replicas' merged digests reproduce the oracle's match
+        // multiset bit-exactly.
+        let mut digest = JoinDigest::default();
+        for (op, _replica, entries) in &state {
+            if *op == join_op {
+                digest.merge(&JoinDigest::from_entries(entries));
             }
         }
+        assert_eq!(digest, expected, "{ctx}: match multiset diverged");
+
+        cells.push(Cell { fusion, report });
     }
     for cell in &cells {
         check_conservation("SJ", &replication, budget, cell);
@@ -371,50 +317,46 @@ fn stream_join_conforms_and_matches_the_oracle_across_the_matrix() {
 }
 
 #[test]
-fn shared_index_conforms_across_the_matrix() {
+fn shared_index_conforms_fused_and_unfused() {
     // One arranged index broadcast to two queries: a point lookup fed by
     // a second spout, and a windowed aggregate. Result *counts* are
     // interleaving-independent (one answer per probe, one delta per
-    // update per aggregate replica), so the full matrix must agree.
+    // update per aggregate replica), so both cells must agree.
     conformance("SI", vec![2, 2, 1, 2, 2, 1], 1200, true);
 }
 
 /// The shared-arrangement zero-copy pin: with two queries subscribed to
 /// the arranged stream, the maintainer seals each batch ONCE — the
 /// second Broadcast edge shares the leader edge's builder and receives a
-/// refcount bump, not a copy. At `jumbo_size(1)` every push seals, so
-/// slab checkouts count builder pushes exactly: `3·updates + 2·queries`
-/// (update spout + one maintainer's worth + query spout + point
-/// results + aggregate deltas). A per-edge-copying collector would
-/// need `4·updates + 2·queries`. Engine teardown separately asserts
+/// refcount bump, not a copy. At `jumbo_size(1)` every push seals — as
+/// long as no queue ever fills (under back-pressure a builder legitimately
+/// grows past `jumbo_size`), hence queues deep enough to hold the whole
+/// run — so slab checkouts count builder pushes exactly: `3·updates +
+/// 2·queries` (update spout + one maintainer's worth + query spout + point
+/// results + aggregate deltas). A per-edge-copying collector would need
+/// `4·updates + 2·queries`. Engine teardown separately asserts
 /// `outstanding == 0`, so a leaked arrangement slab fails the run.
 #[test]
 fn shared_arrangement_slab_seals_do_not_double_with_two_queries() {
     let budget = 400u64;
     let (u, q) = brisk_apps::shared_index::side_totals(budget);
-    for kind in KINDS {
-        let app = app_sized("SI", budget).expect("known app");
-        let config = EngineConfig::builder()
-            .scheduler(Scheduler::ThreadPerReplica)
-            .queue_kind(kind)
-            .fusion(false)
-            .jumbo_size(1)
-            .build();
-        let engine = Engine::new(app, vec![1; 6], config).expect("valid engine config");
-        let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-        let ctx = format!("SI zero-copy {kind}");
-        assert_eq!(report.sink_events, u + q, "{ctx}: sink accounting");
-        let seals = report.slab_allocs + report.slab_recycled;
-        assert_eq!(
-            seals,
-            3 * u + 2 * q,
-            "{ctx}: attaching the second query must not add a maintainer's worth of seals"
-        );
-    }
+    let app = app_sized("SI", budget).expect("known app");
+    let config = cell_config(false)
+        .jumbo_size(1)
+        .queue_capacity(4096)
+        .build();
+    let engine = Engine::new(app, vec![1; 6], config).expect("valid engine config");
+    let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
+    assert_eq!(report.sink_events, u + q, "sink accounting");
+    assert_eq!(
+        report.slab_allocs + report.slab_recycled,
+        3 * u + 2 * q,
+        "attaching the second query must not add a maintainer's worth of seals"
+    );
 }
 
 #[test]
-fn linear_road_conforms_across_the_matrix() {
+fn linear_road_conforms_fused_and_unfused() {
     // 12 operators, multi-stream dispatcher, long fusable chains. The
     // accident path's emissions depend on cross-replica interleaving, so
     // LR pins the conservation laws per cell rather than cross-config

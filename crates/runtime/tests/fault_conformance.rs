@@ -1,14 +1,14 @@
 //! Fault-injection conformance: supervision must be *execution-shape
-//! invariant*. Under the same deterministic injected fault, every cell of
-//! the {ThreadPerReplica, CorePool} × {Spsc, Mutex, Mpsc} × {fusion on,
-//! fusion off} matrix must produce identical per-operator counter vectors
-//! — processed, emitted, quarantined, restarts and sink totals — and obey
-//! exactly-once-minus-quarantined conservation on every attributable edge.
+//! invariant*. Under the same deterministic injected fault, the fused and
+//! the unfused run (both on a two-worker pool) must produce identical
+//! per-operator counter vectors — processed, emitted, quarantined,
+//! restarts and sink totals — and obey exactly-once-minus-quarantined
+//! conservation on every attributable edge.
 //!
 //! Word Count pins cross-config equality (all its operators have
 //! content-deterministic 1:1-or-derivable arity, so the aggregate effect
-//! of quarantining the Nth tuple of a replica is the same whatever fabric
-//! or schedule delivered it). Linear Road — multi-stream dispatcher,
+//! of quarantining the Nth tuple of a replica is the same whatever
+//! schedule delivered it). Linear Road — multi-stream dispatcher,
 //! interleaving-dependent accident path — instead pins the conservation
 //! laws, fault attribution and clean termination per cell.
 //!
@@ -21,66 +21,65 @@ use brisk_apps::app_sized;
 use brisk_dag::{CostProfile, Partitioning, TopologyBuilder, DEFAULT_STREAM};
 use brisk_runtime::{
     silence_injected_panics, AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig,
-    FaultPlan, QueueKind, RestartPolicy, RunReport, Scheduler, SpoutStatus, TupleView,
+    FaultPlan, RestartPolicy, RunReport, Scheduler, SpoutStatus, TupleView,
 };
 use std::time::Duration;
 
-const KINDS: [QueueKind; 3] = [QueueKind::Spsc, QueueKind::Mutex, QueueKind::Mpsc];
-const SCHEDULERS: [Scheduler; 2] = [
-    Scheduler::ThreadPerReplica,
-    Scheduler::CorePool { workers: 2 },
-];
-
 /// WC replication: spout(0) parser(1) splitter(2)x3 counter(3)x2 sink(4).
-/// The 3→2 KeyBy edge keeps counter and sink real replicas in every cell;
-/// the 1:1 head fuses in the fusion=on cells.
+/// The 3→2 KeyBy edge keeps counter and sink real replicas in both cells;
+/// the 1:1 head fuses in the fusion=on cell.
 fn wc_replication() -> Vec<usize> {
     vec![1, 1, 3, 2, 1]
 }
 
 struct Cell {
-    scheduler: Scheduler,
-    kind: QueueKind,
     fusion: bool,
     report: RunReport,
 }
 
 impl Cell {
     fn label(&self) -> String {
-        format!("{} {} fusion={}", self.scheduler, self.kind, self.fusion)
+        format!("fusion={}", self.fusion)
     }
 }
 
-/// One run per matrix cell, each with a freshly built plan.
-fn run_wc_matrix(plan_for_cell: impl Fn() -> FaultPlan, budget: u64) -> Vec<Cell> {
+fn cell_config(fusion: bool) -> EngineConfig {
+    EngineConfig::builder()
+        .scheduler(Scheduler::CorePool { workers: 2 })
+        .fusion(fusion)
+        .restart(RestartPolicy::Bounded {
+            max_restarts: 3,
+            backoff: Duration::from_millis(5),
+        })
+        .build()
+}
+
+/// One run per cell (fusion on, fusion off), each instrumenting `app()`
+/// with a freshly built plan.
+fn run_cells(
+    plan_for_cell: impl Fn() -> FaultPlan,
+    app: impl Fn() -> AppRuntime,
+    replication: Vec<usize>,
+) -> Vec<Cell> {
     silence_injected_panics();
-    let mut cells = Vec::new();
-    for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let app = plan_for_cell().instrument(app_sized("WC", budget).expect("known app"));
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .restart(RestartPolicy::Bounded {
-                        max_restarts: 3,
-                        backoff: Duration::from_millis(5),
-                    })
-                    .build();
-                let engine =
-                    Engine::new(app, wc_replication(), config).expect("valid engine config");
-                let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-                cells.push(Cell {
-                    scheduler,
-                    kind,
-                    fusion,
-                    report,
-                });
-            }
-        }
-    }
-    cells
+    [true, false]
+        .into_iter()
+        .map(|fusion| {
+            let app = plan_for_cell().instrument(app());
+            let engine = Engine::new(app, replication.clone(), cell_config(fusion))
+                .expect("valid engine config");
+            let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
+            Cell { fusion, report }
+        })
+        .collect()
+}
+
+fn run_wc_cells(plan_for_cell: impl Fn() -> FaultPlan, budget: u64) -> Vec<Cell> {
+    run_cells(
+        plan_for_cell,
+        || app_sized("WC", budget).expect("known app"),
+        wc_replication(),
+    )
 }
 
 /// The five counter vectors conformance compares across cells.
@@ -130,12 +129,12 @@ fn check_identical(cells: &[Cell], what: &str) {
 #[test]
 fn wc_spout_panic_matches_the_fault_free_baseline() {
     let budget = 600;
-    let baseline = run_wc_matrix(FaultPlan::new, budget);
-    let injected = run_wc_matrix(|| FaultPlan::new().panic_on_nth(0, 0, 50), budget);
+    let baseline = run_wc_cells(FaultPlan::new, budget);
+    let injected = run_wc_cells(|| FaultPlan::new().panic_on_nth(0, 0, 50), budget);
     check_identical(&baseline, "baseline");
     check_identical(&injected, "spout-panic");
     // The spout panics before generating and recovers its cursor: the
-    // injected matrix reproduces the fault-free tuple flow exactly.
+    // injected runs reproduce the fault-free tuple flow exactly.
     let (bp, be, bq, _, bs) = vectors(&baseline[0].report);
     let (ip, ie, iq, ir, is_) = vectors(&injected[0].report);
     assert_eq!(ip, bp, "processed unchanged by a recovered spout fault");
@@ -151,11 +150,11 @@ fn wc_spout_panic_matches_the_fault_free_baseline() {
 }
 
 #[test]
-fn wc_mid_bolt_panic_is_identical_across_the_matrix() {
-    // Counter (op 3) replica 0 loses its 30th tuple in every cell. The
-    // counter is a real (unfused) replica in all twelve cells, so this
-    // exercises both schedulers' restart paths over every fabric.
-    let cells = run_wc_matrix(|| FaultPlan::new().panic_on_nth(3, 0, 30), 600);
+fn wc_mid_bolt_panic_is_identical_fused_and_unfused() {
+    // Counter (op 3) replica 0 loses its 30th tuple in both cells. The
+    // counter is a real (unfused) replica in both, so this exercises the
+    // task restart path.
+    let cells = run_wc_cells(|| FaultPlan::new().panic_on_nth(3, 0, 30), 600);
     check_identical(&cells, "mid-bolt-panic");
     for cell in &cells {
         check_wc_conservation(cell);
@@ -174,8 +173,8 @@ fn wc_mid_bolt_panic_is_identical_across_the_matrix() {
 }
 
 #[test]
-fn wc_sink_panic_is_identical_across_the_matrix() {
-    let cells = run_wc_matrix(|| FaultPlan::new().panic_on_nth(4, 0, 40), 600);
+fn wc_sink_panic_is_identical_fused_and_unfused() {
+    let cells = run_wc_cells(|| FaultPlan::new().panic_on_nth(4, 0, 40), 600);
     check_identical(&cells, "sink-panic");
     for cell in &cells {
         check_wc_conservation(cell);
@@ -232,7 +231,7 @@ fn broadcast_app(budget: u64) -> AppRuntime {
 /// Quarantining a tuple out of a batch whose slab is *shared* across
 /// broadcast replicas must stay exact: one copy lost on the faulted
 /// replica, every other replica's copies intact, and the counter vectors
-/// identical across the whole scheduler × fabric × fusion matrix. This is
+/// identical fused and unfused. This is
 /// the shared-batch half of poison-tuple conservation — the quarantine
 /// path keeps the un-poisoned remainder as a slice of the shared slab, so
 /// any cross-replica interference (or a slab clone that forked the
@@ -241,37 +240,15 @@ fn broadcast_app(budget: u64) -> AppRuntime {
 /// was released.
 #[test]
 fn broadcast_quarantine_conserves_shared_batches() {
-    silence_injected_panics();
     let budget = 600u64;
     let replicas = 3u64;
-    let mut cells = Vec::new();
-    for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                // Sink replica 0 panics on its 30th delivered copy; the
-                // slab under that copy is shared with replicas 1 and 2.
-                let plan = FaultPlan::new().panic_on_nth(1, 0, 30);
-                let app = plan.instrument(broadcast_app(budget));
-                let config = EngineConfig::builder()
-                    .scheduler(scheduler)
-                    .queue_kind(kind)
-                    .fusion(fusion)
-                    .restart(RestartPolicy::Bounded {
-                        max_restarts: 3,
-                        backoff: Duration::from_millis(5),
-                    })
-                    .build();
-                let engine = Engine::new(app, vec![1, 3], config).expect("valid engine config");
-                let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-                cells.push(Cell {
-                    scheduler,
-                    kind,
-                    fusion,
-                    report,
-                });
-            }
-        }
-    }
+    // Sink replica 0 panics on its 30th delivered copy; the slab under
+    // that copy is shared with replicas 1 and 2.
+    let cells = run_cells(
+        || FaultPlan::new().panic_on_nth(1, 0, 30),
+        || broadcast_app(budget),
+        vec![1, 3],
+    );
     check_identical(&cells, "broadcast-quarantine");
     for cell in &cells {
         let r = &cell.report;
@@ -295,24 +272,17 @@ fn broadcast_quarantine_conserves_shared_batches() {
 }
 
 #[test]
-fn lr_faults_conserve_and_terminate_under_both_schedulers() {
-    silence_injected_panics();
+fn lr_faults_conserve_and_terminate() {
     let budget = 800;
     // spout head, fused-chain parser, multi-producer funnel sink.
-    for scheduler in SCHEDULERS {
-        for (op, nth) in [(0usize, 40u64), (1, 30), (11, 25)] {
-            let plan = FaultPlan::new().panic_on_nth(op, 0, nth);
-            let app = plan.instrument(app_sized("LR", budget).expect("known app"));
-            let config = EngineConfig::builder()
-                .scheduler(scheduler)
-                .restart(RestartPolicy::Bounded {
-                    max_restarts: 3,
-                    backoff: Duration::from_millis(5),
-                })
-                .build();
-            let engine = Engine::new(app, vec![1; 12], config).expect("valid engine config");
-            let report = engine.run_until_events(u64::MAX, Duration::from_secs(120));
-            let ctx = format!("LR {scheduler} op={op}");
+    for (op, nth) in [(0usize, 40u64), (1, 30), (11, 25)] {
+        for cell in run_cells(
+            || FaultPlan::new().panic_on_nth(op, 0, nth),
+            || app_sized("LR", budget).expect("known app"),
+            vec![1; 12],
+        ) {
+            let report = &cell.report;
+            let ctx = format!("LR {} op={op}", cell.label());
 
             assert!(report.sink_events > 0, "{ctx}: run survived the fault");
             assert_eq!(report.faults().len(), 1, "{ctx}");

@@ -6,19 +6,23 @@
 //!
 //! Every test drives a tiny deterministic spout → relay → sink chain with
 //! a [`FaultPlan`] so failures land on exactly the same tuple run after
-//! run, under either scheduler.
+//! run, on a two-worker pool (three tasks when unfused, so restarts,
+//! back-pressure and retirement all happen with tasks sharing workers).
 
 use brisk_dag::{CostProfile, Partitioning, TopologyBuilder, DEFAULT_STREAM};
 use brisk_runtime::{
     silence_injected_panics, AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig,
-    FaultKind, FaultPlan, RestartPolicy, RunReport, Scheduler, SpoutStatus, TupleView,
+    EngineConfigBuilder, FaultKind, FaultPlan, RestartPolicy, RunReport, Scheduler, SpoutStatus,
+    TupleView,
 };
 use std::time::{Duration, Instant};
 
-const SCHEDULERS: [Scheduler; 2] = [
-    Scheduler::ThreadPerReplica,
-    Scheduler::CorePool { workers: 2 },
-];
+/// The suite's engine shape: two workers, fusion as given.
+fn pool(fusion: bool) -> EngineConfigBuilder {
+    EngineConfig::builder()
+        .scheduler(Scheduler::CorePool { workers: 2 })
+        .fusion(fusion)
+}
 
 struct SeqSpout {
     next: u64,
@@ -92,174 +96,138 @@ fn bounded(max_restarts: u32, backoff: Duration) -> RestartPolicy {
 
 #[test]
 fn bounded_restart_recovers_and_quarantines_the_poison_tuple() {
-    for scheduler in SCHEDULERS {
-        let config = EngineConfig::builder()
-            .scheduler(scheduler)
-            .fusion(false)
-            .restart(bounded(3, Duration::from_millis(1)))
-            .build();
-        let plan = FaultPlan::new().panic_on_nth(1, 0, 30);
-        let report = run(chain_app(500, false), &plan, config);
-        let relay = report.operator(1);
-        assert_eq!(
-            relay.quarantined, 1,
-            "{scheduler}: poison tuple quarantined"
-        );
-        assert_eq!(relay.restarts, 1, "{scheduler}: one restart");
-        assert_eq!(relay.faults, 1, "{scheduler}: one recorded fault");
-        assert_eq!(
-            relay.processed, 499,
-            "{scheduler}: everything else processed"
-        );
-        assert_eq!(report.sink_events, 499, "{scheduler}: sink sees the rest");
-        // Conservation: every tuple emitted upstream is either processed
-        // or quarantined downstream — nothing lost, nothing duplicated.
-        assert_eq!(
-            report.operator(0).emitted,
-            relay.processed + relay.quarantined,
-            "{scheduler}: spout→relay conservation"
-        );
-        let sink = report.operator(2);
-        assert_eq!(
-            relay.emitted,
-            sink.processed + sink.quarantined,
-            "{scheduler}: relay→sink conservation"
-        );
-        assert_eq!(report.faults().len(), 1, "{scheduler}");
-        let fault = &report.faults()[0];
-        assert_eq!(fault.op_index, 1, "{scheduler}");
-        assert_eq!(fault.kind, FaultKind::OperatorPanic, "{scheduler}");
-        assert!(fault.restarted, "{scheduler}: policy granted the restart");
-    }
+    let config = pool(false)
+        .restart(bounded(3, Duration::from_millis(1)))
+        .build();
+    let plan = FaultPlan::new().panic_on_nth(1, 0, 30);
+    let report = run(chain_app(500, false), &plan, config);
+    let relay = report.operator(1);
+    assert_eq!(relay.quarantined, 1, "poison tuple quarantined");
+    assert_eq!(relay.restarts, 1, "one restart");
+    assert_eq!(relay.faults, 1, "one recorded fault");
+    assert_eq!(relay.processed, 499, "everything else processed");
+    assert_eq!(report.sink_events, 499, "sink sees the rest");
+    // Conservation: every tuple emitted upstream is either processed
+    // or quarantined downstream — nothing lost, nothing duplicated.
+    assert_eq!(
+        report.operator(0).emitted,
+        relay.processed + relay.quarantined,
+        "spout→relay conservation"
+    );
+    let sink = report.operator(2);
+    assert_eq!(
+        relay.emitted,
+        sink.processed + sink.quarantined,
+        "relay→sink conservation"
+    );
+    assert_eq!(report.faults().len(), 1);
+    let fault = &report.faults()[0];
+    assert_eq!(fault.op_index, 1);
+    assert_eq!(fault.kind, FaultKind::OperatorPanic);
+    assert!(fault.restarted, "policy granted the restart");
 }
 
 #[test]
 fn restart_backoff_doubles_and_is_respected() {
-    for scheduler in SCHEDULERS {
-        let config = EngineConfig::builder()
-            .scheduler(scheduler)
-            .fusion(false)
-            .restart(bounded(2, Duration::from_millis(100)))
-            .build();
-        // Two faults: backoff 100ms then 200ms — the run cannot finish in
-        // less than their sum.
-        let plan = FaultPlan::new()
-            .panic_on_nth(1, 0, 20)
-            .panic_on_nth(1, 0, 60);
-        let start = Instant::now();
-        let report = run(chain_app(400, false), &plan, config);
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(280),
-            "{scheduler}: 100ms + 200ms backoff must be observed, ran in {elapsed:?}"
-        );
-        let relay = report.operator(1);
-        assert_eq!(relay.restarts, 2, "{scheduler}");
-        assert_eq!(relay.quarantined, 2, "{scheduler}");
-        assert_eq!(report.sink_events, 398, "{scheduler}");
-    }
+    let config = pool(false)
+        .restart(bounded(2, Duration::from_millis(100)))
+        .build();
+    // Two faults: backoff 100ms then 200ms — the run cannot finish in
+    // less than their sum.
+    let plan = FaultPlan::new()
+        .panic_on_nth(1, 0, 20)
+        .panic_on_nth(1, 0, 60);
+    let start = Instant::now();
+    let report = run(chain_app(400, false), &plan, config);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed >= Duration::from_millis(280),
+        "100ms + 200ms backoff must be observed, ran in {elapsed:?}"
+    );
+    let relay = report.operator(1);
+    assert_eq!(relay.restarts, 2);
+    assert_eq!(relay.quarantined, 2);
+    assert_eq!(report.sink_events, 398);
 }
 
 #[test]
 fn never_policy_retires_the_replica_and_terminates_cleanly() {
-    for scheduler in SCHEDULERS {
-        let config = EngineConfig::builder()
-            .scheduler(scheduler)
-            .fusion(false)
-            .build();
-        let plan = FaultPlan::new().panic_on_nth(1, 0, 10);
-        let start = Instant::now();
-        let report = run(chain_app(200_000, false), &plan, config);
-        // Clean termination well inside the 120s harness timeout: no hang,
-        // no double panic, producers failed fast on the closed queue.
-        assert!(
-            start.elapsed() < Duration::from_secs(60),
-            "{scheduler}: run must wind down promptly after the replica dies"
-        );
-        assert_eq!(report.fault_summary().restarts, 0, "{scheduler}");
-        assert_eq!(report.faults().len(), 1, "{scheduler}");
-        assert!(!report.faults()[0].restarted, "{scheduler}: replica died");
-        assert!(
-            report.operator(0).emitted < 200_000,
-            "{scheduler}: spout stopped early once its consumer died"
-        );
-        assert!(report.sink_events < 200_000, "{scheduler}");
-    }
+    let plan = FaultPlan::new().panic_on_nth(1, 0, 10);
+    let start = Instant::now();
+    let report = run(chain_app(200_000, false), &plan, pool(false).build());
+    // Clean termination well inside the 120s harness timeout: no hang,
+    // no double panic, producers failed fast on the closed queue.
+    assert!(
+        start.elapsed() < Duration::from_secs(60),
+        "run must wind down promptly after the replica dies"
+    );
+    assert_eq!(report.fault_summary().restarts, 0);
+    assert_eq!(report.faults().len(), 1);
+    assert!(!report.faults()[0].restarted, "replica died");
+    assert!(
+        report.operator(0).emitted < 200_000,
+        "spout stopped early once its consumer died"
+    );
+    assert!(report.sink_events < 200_000);
 }
 
 #[test]
 fn spout_restart_loses_no_input() {
-    for scheduler in SCHEDULERS {
-        let config = EngineConfig::builder()
-            .scheduler(scheduler)
-            .fusion(false)
-            .restart(bounded(3, Duration::from_millis(1)))
-            .build();
-        // The injected panic fires *before* the spout generates, and
-        // `recover()` keeps the generation cursor: nothing is lost.
-        let plan = FaultPlan::new().panic_on_nth(0, 0, 50);
-        let report = run(chain_app(500, false), &plan, config);
-        assert_eq!(report.operator(0).restarts, 1, "{scheduler}");
-        assert_eq!(report.operator(0).emitted, 500, "{scheduler}: full budget");
-        assert_eq!(report.sink_events, 500, "{scheduler}: exactly-once held");
-        let quarantined: u64 = report.per_operator().iter().map(|o| o.quarantined).sum();
-        assert_eq!(quarantined, 0, "{scheduler}: no tuple was in flight");
-    }
+    let config = pool(false)
+        .restart(bounded(3, Duration::from_millis(1)))
+        .build();
+    // The injected panic fires *before* the spout generates, and
+    // `recover()` keeps the generation cursor: nothing is lost.
+    let plan = FaultPlan::new().panic_on_nth(0, 0, 50);
+    let report = run(chain_app(500, false), &plan, config);
+    assert_eq!(report.operator(0).restarts, 1);
+    assert_eq!(report.operator(0).emitted, 500, "full budget");
+    assert_eq!(report.sink_events, 500, "exactly-once held");
+    let quarantined: u64 = report.per_operator().iter().map(|o| o.quarantined).sum();
+    assert_eq!(quarantined, 0, "no tuple was in flight");
 }
 
 #[test]
 fn restart_preserves_rings_under_capacity_pressure() {
-    for scheduler in SCHEDULERS {
-        // Two-slot single-tuple rings: the spout is parked on a full ring
-        // while the relay is down for its backoff. The restart must leave
-        // the ring open and intact (closing it would kill the producer;
-        // corrupting it would break conservation).
-        let config = EngineConfig::builder()
-            .scheduler(scheduler)
-            .fusion(false)
-            .queue_capacity(2)
-            .jumbo_size(1)
-            .restart(bounded(3, Duration::from_millis(1)))
-            .build();
-        let plan = FaultPlan::new().panic_on_nth(1, 0, 25);
-        let report = run(chain_app(400, false), &plan, config);
-        let relay = report.operator(1);
-        assert_eq!(relay.restarts, 1, "{scheduler}");
-        assert_eq!(relay.quarantined, 1, "{scheduler}");
-        assert_eq!(
-            report.operator(0).emitted,
-            400,
-            "{scheduler}: spout ran to exhaustion"
-        );
-        assert_eq!(
-            report.operator(0).emitted,
-            relay.processed + relay.quarantined,
-            "{scheduler}: conservation across the restart"
-        );
-        assert_eq!(
-            report.sink_events, 399,
-            "{scheduler}: restart must not close or corrupt the full ring"
-        );
-    }
+    // Two-slot single-tuple rings: the spout is back-pressured on a full
+    // ring while the relay is down for its backoff. The restart must leave
+    // the ring open and intact (closing it would kill the producer;
+    // corrupting it would break conservation).
+    let config = pool(false)
+        .queue_capacity(2)
+        .jumbo_size(1)
+        .restart(bounded(3, Duration::from_millis(1)))
+        .build();
+    let plan = FaultPlan::new().panic_on_nth(1, 0, 25);
+    let report = run(chain_app(400, false), &plan, config);
+    let relay = report.operator(1);
+    assert_eq!(relay.restarts, 1);
+    assert_eq!(relay.quarantined, 1);
+    assert_eq!(report.operator(0).emitted, 400, "spout ran to exhaustion");
+    assert_eq!(
+        report.operator(0).emitted,
+        relay.processed + relay.quarantined,
+        "conservation across the restart"
+    );
+    assert_eq!(
+        report.sink_events, 399,
+        "restart must not close or corrupt the full ring"
+    );
 }
 
 #[test]
-fn dead_replica_unblocks_parked_producers() {
-    // Tiny rings park the spout in a blocking push almost immediately;
-    // the relay then dies under `Never`. Closing the dead replica's input
-    // queues must wake the parked spout so the run winds down instead of
-    // hanging a thread forever.
-    let config = EngineConfig::builder()
-        .fusion(false)
-        .queue_capacity(2)
-        .jumbo_size(1)
-        .build();
+fn dead_replica_unblocks_back_pressured_producers() {
+    // Tiny rings back-pressure the spout almost immediately; the relay
+    // then dies under `Never`. Closing the dead replica's input queues
+    // must reach the stalled spout so the run winds down instead of
+    // retrying a push nobody will ever drain.
+    let config = pool(false).queue_capacity(2).jumbo_size(1).build();
     let plan = FaultPlan::new().panic_on_nth(1, 0, 5);
     let start = Instant::now();
     let report = run(chain_app(100_000, false), &plan, config);
     assert!(
         start.elapsed() < Duration::from_secs(60),
-        "parked producer must be unblocked by the dying consumer"
+        "stalled producer must be released by the dying consumer"
     );
     assert_eq!(report.faults().len(), 1);
     assert!(report.operator(0).emitted < 100_000, "spout stopped early");
@@ -271,8 +239,7 @@ fn watchdog_ignores_back_pressured_replicas() {
     // relay: long waits, but every one of them excused — the relay's
     // output queue is full (back-pressure, not a stall) and the sink keeps
     // making progress jumbo by jumbo.
-    let config = EngineConfig::builder()
-        .fusion(false)
+    let config = pool(false)
         .queue_capacity(2)
         .jumbo_size(4)
         .stall_deadline(Duration::from_millis(100))
@@ -289,8 +256,7 @@ fn watchdog_ignores_back_pressured_replicas() {
 
 #[test]
 fn watchdog_flags_a_genuinely_stuck_replica() {
-    let config = EngineConfig::builder()
-        .fusion(false)
+    let config = pool(false)
         .stall_deadline(Duration::from_millis(60))
         .build();
     // The sink seizes for 500ms mid-run with input queued behind it and
@@ -307,8 +273,7 @@ fn watchdog_flags_a_genuinely_stuck_replica() {
 
 #[test]
 fn fused_panic_is_attributed_to_the_fused_operator() {
-    let config = EngineConfig::builder()
-        .fusion(true)
+    let config = pool(true)
         .restart(bounded(3, Duration::from_millis(1)))
         .build();
     let plan = FaultPlan::new().panic_on_nth(1, 0, 30);

@@ -1,7 +1,6 @@
 //! Migration conformance suite: exactly-once tuple accounting across a
-//! live, mid-run plan migration, over the full scheduler × fabric ×
-//! fusion matrix {ThreadPerReplica, CorePool} × {Spsc, Mutex, Mpsc} ×
-//! {fusion on, fusion off}.
+//! live, mid-run plan migration, with operator fusion on and off, on a
+//! two-worker pool.
 //!
 //! Every cell splits a deterministic sized workload across two engine
 //! epochs joined by a migration pause: epoch one runs to a mid-budget
@@ -9,7 +8,7 @@
 //! controller's pause), its harvested state is redistributed onto a
 //! successor engine (`preload_state`), and epoch two runs the rest to
 //! exhaustion. The laws that must survive the hand-off, whatever the
-//! queue fabric or execution shape:
+//! execution shape:
 //!
 //! * the two epochs' spouts emit exactly the configured input budget
 //!   between them — the harvested source positions resume, never rewind
@@ -19,9 +18,9 @@
 //!   expectation (WC: words per sentence × budget; FD: one prediction
 //!   per transaction);
 //! * for the deterministic linear apps the summed per-operator
-//!   `processed`/`emitted` vectors are **identical across all twelve
-//!   matrix cells** — the migration point, scheduler, fabric and fusion
-//!   shape may move tuples between epochs, never create or destroy them;
+//!   `processed`/`emitted` vectors are **identical across both cells** —
+//!   the migration point and fusion shape may move tuples between epochs,
+//!   never create or destroy them;
 //! * a migration that *changes replica counts* conserves the same totals
 //!   (rescaling redistributes budget shares and keyed state, uncovered
 //!   new replicas get an empty install and claim no fresh budget);
@@ -31,44 +30,43 @@
 //! * a migration racing spout exhaustion — the pause requested *after*
 //!   the sized spouts already retired — still conserves the budget: the
 //!   retired source positions are parked and folded into the harvest, so
-//!   the successor epoch re-emits nothing.
+//!   the successor epoch re-emits nothing;
+//! * the elastic controller's own loop — drift, forced re-plan, live
+//!   migration — conserves the same totals end to end.
 
 use brisk_apps::{app_sized, word_count};
 use brisk_dag::OperatorKind;
 use brisk_runtime::{
-    Engine, EngineConfig, HarvestedState, QueueKind, RunLimit, RunReport, Scheduler, StateEntry,
+    DriftPlan, ElasticEngine, ElasticOptions, Engine, EngineConfig, EngineConfigBuilder,
+    HarvestedState, RunLimit, RunReport, Scheduler, StateEntry,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
-const KINDS: [QueueKind; 3] = [QueueKind::Spsc, QueueKind::Mutex, QueueKind::Mpsc];
-const SCHEDULERS: [Scheduler; 2] = [
-    Scheduler::ThreadPerReplica,
-    Scheduler::CorePool { workers: 2 },
-];
 const LONG: Duration = Duration::from_secs(120);
+
+fn pool(fusion: bool) -> EngineConfigBuilder {
+    EngineConfig::builder()
+        .scheduler(Scheduler::CorePool { workers: 2 })
+        .fusion(fusion)
+}
 
 /// Shallow queues keep the sized spouts backpressured, so the epoch-one
 /// stop lands while the source is still mid-budget (the default
 /// 4096-tuple-deep queues would swallow these budgets whole and the
 /// "migration" would degenerate into a restart of a drained pipeline).
-fn cell_config(scheduler: Scheduler, kind: QueueKind, fusion: bool) -> EngineConfig {
-    EngineConfig::builder()
-        .scheduler(scheduler)
-        .queue_kind(kind)
-        .fusion(fusion)
-        .queue_capacity(2)
-        .jumbo_size(8)
-        .build()
+fn cell_config(fusion: bool) -> EngineConfig {
+    pool(fusion).queue_capacity(2).jumbo_size(8).build()
 }
 
-/// Release builds drain these shallow-queue pipelines fast enough that a
-/// sink-event stop can land after the sized budget is already spent, which
-/// would degenerate the "mid-budget pause" cells into plain restarts.
-/// Scale the budgets up so the pause lands mid-budget in both profiles.
+/// The driver polls the sink-event stop once a millisecond, and a pool
+/// drains these shallow-queue pipelines in a few milliseconds, so a small
+/// budget can be spent before the stop lands — degenerating the "mid-budget
+/// pause" into a plain restart of a drained pipeline. Scale the budgets so
+/// epoch one lasts many polls in either build profile.
 fn scaled(budget: u64) -> u64 {
     if cfg!(debug_assertions) {
-        budget
+        budget * 4
     } else {
         budget * 25
     }
@@ -150,50 +148,46 @@ fn spout_emitted(abbrev: &str, r1: &RunReport, r2: &RunReport) -> (u64, u64) {
     (emitted(r1), emitted(r2))
 }
 
-/// The twelve-cell matrix for one app: conservation per cell, plus
-/// cross-cell equality of the summed per-operator counters.
-fn matrix(abbrev: &str, replication: &[usize], budget: u64, expected_sink: u64) {
+/// Both cells for one app: conservation per cell, plus cross-cell
+/// equality of the summed per-operator counters.
+fn both_cells(abbrev: &str, replication: &[usize], budget: u64, expected_sink: u64) {
     let epoch1_target = expected_sink / 3;
     let mut summed: Vec<(String, Vec<u64>, Vec<u64>, u64)> = Vec::new();
-    for scheduler in SCHEDULERS {
-        for kind in KINDS {
-            for fusion in [true, false] {
-                let ctx = format!("{abbrev} {scheduler} {kind} fusion={fusion}");
-                let config = cell_config(scheduler, kind, fusion);
-                let (r1, r2, _) = migrate_once(
-                    abbrev,
-                    replication,
-                    replication,
-                    budget,
-                    epoch1_target,
-                    &config,
-                    false,
-                );
-                let (in1, in2) = spout_emitted(abbrev, &r1, &r2);
-                assert!(
-                    in1 > 0 && in1 < budget,
-                    "{ctx}: the pause must land mid-budget (epoch one emitted {in1}/{budget})"
-                );
-                assert_eq!(
-                    in1 + in2,
-                    budget,
-                    "{ctx}: migration lost or duplicated source tuples"
-                );
-                assert_eq!(
-                    r1.sink_events + r2.sink_events,
-                    expected_sink,
-                    "{ctx}: migration lost or duplicated sink tuples"
-                );
-                let n = r1.per_operator().len();
-                let processed: Vec<u64> = (0..n)
-                    .map(|op| r1.operator(op).processed + r2.operator(op).processed)
-                    .collect();
-                let emitted: Vec<u64> = (0..n)
-                    .map(|op| r1.operator(op).emitted + r2.operator(op).emitted)
-                    .collect();
-                summed.push((ctx, processed, emitted, r1.sink_events + r2.sink_events));
-            }
-        }
+    for fusion in [true, false] {
+        let ctx = format!("{abbrev} fusion={fusion}");
+        let config = cell_config(fusion);
+        let (r1, r2, _) = migrate_once(
+            abbrev,
+            replication,
+            replication,
+            budget,
+            epoch1_target,
+            &config,
+            false,
+        );
+        let (in1, in2) = spout_emitted(abbrev, &r1, &r2);
+        assert!(
+            in1 > 0 && in1 < budget,
+            "{ctx}: the pause must land mid-budget (epoch one emitted {in1}/{budget})"
+        );
+        assert_eq!(
+            in1 + in2,
+            budget,
+            "{ctx}: migration lost or duplicated source tuples"
+        );
+        assert_eq!(
+            r1.sink_events + r2.sink_events,
+            expected_sink,
+            "{ctx}: migration lost or duplicated sink tuples"
+        );
+        let n = r1.per_operator().len();
+        let processed: Vec<u64> = (0..n)
+            .map(|op| r1.operator(op).processed + r2.operator(op).processed)
+            .collect();
+        let emitted: Vec<u64> = (0..n)
+            .map(|op| r1.operator(op).emitted + r2.operator(op).emitted)
+            .collect();
+        summed.push((ctx, processed, emitted, r1.sink_events + r2.sink_events));
     }
     let (ref_ctx, ref_processed, ref_emitted, ref_sink) = &summed[0];
     for (ctx, processed, emitted, sink) in &summed[1..] {
@@ -210,11 +204,11 @@ fn matrix(abbrev: &str, replication: &[usize], budget: u64, expected_sink: u64) 
 }
 
 #[test]
-fn word_count_migration_conforms_across_the_matrix() {
+fn word_count_migration_conforms_fused_and_unfused() {
     // KeyBy fan-out, a 1:1 fused head, and a stateful counter whose
     // accumulations ride the hand-off.
     let budget = scaled(1200);
-    matrix(
+    both_cells(
         "WC",
         &[1, 1, 3, 2, 1],
         budget,
@@ -223,11 +217,11 @@ fn word_count_migration_conforms_across_the_matrix() {
 }
 
 #[test]
-fn fraud_detection_migration_conforms_across_the_matrix() {
-    // 2:2 Forward head (pairwise fusion in the fusion=on cells), an MPSC
-    // funnel in the Mpsc cells, and a KeyBy predictor.
+fn fraud_detection_migration_conforms_fused_and_unfused() {
+    // 2:2 Forward head (pairwise fusion in the fusion=on cell) and a KeyBy
+    // predictor.
     let budget = scaled(2000);
-    matrix("FD", &[2, 2, 3, 1], budget, budget);
+    both_cells("FD", &[2, 2, 3, 1], budget, budget);
 }
 
 #[test]
@@ -237,27 +231,23 @@ fn rescaling_migration_conserves_the_budget() {
     // get an empty install and must claim no fresh budget of their own.
     let budget = scaled(1200);
     let expected_sink = budget * word_count::WORDS_PER_SENTENCE as u64;
-    for scheduler in SCHEDULERS {
-        let ctx = format!("WC rescale {scheduler}");
-        let config = cell_config(scheduler, QueueKind::Spsc, false);
-        let (r1, r2, _) = migrate_once(
-            "WC",
-            &[1, 1, 3, 2, 1],
-            &[2, 2, 3, 3, 1],
-            budget,
-            expected_sink / 3,
-            &config,
-            false,
-        );
-        let (in1, in2) = spout_emitted("WC", &r1, &r2);
-        assert!(in1 > 0 && in1 < budget, "{ctx}: pause must land mid-budget");
-        assert_eq!(in1 + in2, budget, "{ctx}: rescaling duplicated the source");
-        assert_eq!(
-            r1.sink_events + r2.sink_events,
-            expected_sink,
-            "{ctx}: rescaling lost or duplicated sink tuples"
-        );
-    }
+    let (r1, r2, _) = migrate_once(
+        "WC",
+        &[1, 1, 3, 2, 1],
+        &[2, 2, 3, 3, 1],
+        budget,
+        expected_sink / 3,
+        &cell_config(false),
+        false,
+    );
+    let (in1, in2) = spout_emitted("WC", &r1, &r2);
+    assert!(in1 > 0 && in1 < budget, "pause must land mid-budget");
+    assert_eq!(in1 + in2, budget, "rescaling duplicated the source");
+    assert_eq!(
+        r1.sink_events + r2.sink_events,
+        expected_sink,
+        "rescaling lost or duplicated sink tuples"
+    );
 }
 
 /// Decode WC counter entries (count LE ‖ word bytes) into a merged map.
@@ -284,7 +274,7 @@ fn word_count_state_hands_off_bit_exact() {
     let budget = 1200;
     let replication = [1usize, 1, 3, 2, 1];
     let counter_op = word_count::topology().find("counter").expect("counter").0;
-    let config = cell_config(Scheduler::ThreadPerReplica, QueueKind::Spsc, false);
+    let config = cell_config(false);
 
     let mut reference = Engine::new(
         app_sized("WC", budget).expect("WC"),
@@ -395,7 +385,7 @@ fn stream_join_index_survives_migration_bit_exact() {
     let (left_total, right_total) = stream_join::side_totals(budget);
     let expected = stream_join::oracle(left_total, right_total);
     let join_op = stream_join::topology().find("join").expect("join").0;
-    let config = cell_config(Scheduler::ThreadPerReplica, QueueKind::Spsc, false);
+    let config = cell_config(false);
 
     let mut reference = Engine::new(
         app_sized("SJ", budget).expect("SJ"),
@@ -427,7 +417,7 @@ fn stream_join_index_survives_migration_bit_exact() {
     first.capture_state_on_stop(true);
     let (r1, state) = first
         .start(RunLimit::Events {
-            events: expected.count / 2,
+            events: expected.count / 3,
             timeout: LONG,
         })
         .join_with_state();
@@ -482,55 +472,104 @@ fn migration_racing_spout_exhaustion_conserves_the_budget() {
     // successor re-derives fresh factory budgets and doubles the input.
     let budget = 400;
     let expected_sink = budget * word_count::WORDS_PER_SENTENCE as u64;
-    for scheduler in SCHEDULERS {
-        let ctx = format!("WC exhausted-race {scheduler}");
-        let config = EngineConfig::builder()
-            .scheduler(scheduler)
-            .queue_kind(QueueKind::Spsc)
-            .fusion(false)
-            .build();
-        let replication = [1usize, 1, 2, 2, 1];
-        let app = app_sized("WC", budget).expect("WC");
-        let first = Engine::new(app, replication.to_vec(), config.clone()).expect("valid engine");
-        let handle = first.start(RunLimit::Duration(LONG));
-        // Wait until the spout has provably spent its whole budget.
-        let deadline = std::time::Instant::now() + LONG;
-        loop {
-            let emitted: u64 = handle
-                .rates()
-                .iter()
-                .filter(|r| r.op == 0)
-                .map(|r| r.tuples)
-                .sum();
-            if emitted >= budget {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{ctx}: spout never exhausted"
-            );
-            std::thread::sleep(Duration::from_millis(1));
+    let config = pool(false).build();
+    let replication = [1usize, 1, 2, 2, 1];
+    let app = app_sized("WC", budget).expect("WC");
+    let first = Engine::new(app, replication.to_vec(), config.clone()).expect("valid engine");
+    let handle = first.start(RunLimit::Duration(LONG));
+    // Wait until the spout has provably spent its whole budget.
+    let deadline = std::time::Instant::now() + LONG;
+    loop {
+        let emitted: u64 = handle
+            .rates()
+            .iter()
+            .filter(|r| r.op == 0)
+            .map(|r| r.tuples)
+            .sum();
+        if emitted >= budget {
+            break;
         }
-        handle.request_migration();
-        let (r1, state) = handle.join_with_state();
         assert!(
-            state.iter().any(|(op, _, _)| *op == 0),
-            "{ctx}: the exhausted spout's position must still be harvested"
+            std::time::Instant::now() < deadline,
+            "spout never exhausted"
         );
-
-        let app2 = app_sized("WC", budget).expect("WC");
-        let second = Engine::new(app2, replication.to_vec(), config).expect("valid engine");
-        for (op, replica, entries) in redistribute(state, &replication) {
-            second.preload_state(op, replica, entries).expect("preload");
-        }
-        let r2 = second.run_until_events(u64::MAX, LONG);
-        let (in1, in2) = spout_emitted("WC", &r1, &r2);
-        assert_eq!(in1, budget, "{ctx}: epoch one spent the whole budget");
-        assert_eq!(in2, 0, "{ctx}: successor re-emitted a spent budget");
-        assert_eq!(
-            r1.sink_events + r2.sink_events,
-            expected_sink,
-            "{ctx}: lost or duplicated sink tuples"
-        );
+        std::thread::sleep(Duration::from_millis(1));
     }
+    handle.request_migration();
+    let (r1, state) = handle.join_with_state();
+    assert!(
+        state.iter().any(|(op, _, _)| *op == 0),
+        "the exhausted spout's position must still be harvested"
+    );
+
+    let app2 = app_sized("WC", budget).expect("WC");
+    let second = Engine::new(app2, replication.to_vec(), config).expect("valid engine");
+    for (op, replica, entries) in redistribute(state, &replication) {
+        second.preload_state(op, replica, entries).expect("preload");
+    }
+    let r2 = second.run_until_events(u64::MAX, LONG);
+    let (in1, in2) = spout_emitted("WC", &r1, &r2);
+    assert_eq!(in1, budget, "epoch one spent the whole budget");
+    assert_eq!(in2, 0, "successor re-emitted a spent budget");
+    assert_eq!(
+        r1.sink_events + r2.sink_events,
+        expected_sink,
+        "lost or duplicated sink tuples"
+    );
+}
+
+#[test]
+fn elastic_drift_replans_and_conserves_every_tuple() {
+    // The controller's whole loop under a drifting workload (no throughput
+    // gate — that is the benchmark's business): a 150 µs/tuple cost step
+    // lands on WC's parser an eighth of the way into the budget while the
+    // word distribution shifts to Zipf 2.5; the controller must re-plan at
+    // least once (forced at sample 4 if organic drift detection loses the
+    // race) and the live migration must neither drop nor duplicate a tuple.
+    let budget = 8_000;
+    let machine = brisk_numa::Machine::server_a().restrict_sockets(2);
+    let app = DriftPlan::new()
+        .slow_after(1, budget / 8, Duration::from_micros(150))
+        .instrument(word_count::app_sized_skewed(
+            budget,
+            Some((budget / 16, 2.5)),
+        ));
+    let scaling = brisk_rlas::ScalingOptions {
+        compress_ratio: 2,
+        max_total_replicas: Some(8),
+        placement: brisk_rlas::PlacementOptions {
+            max_nodes: 2_500,
+            ..brisk_rlas::PlacementOptions::default()
+        },
+        ..brisk_rlas::ScalingOptions::default()
+    };
+    let initial = brisk_rlas::optimize(&machine, &app.topology, &scaling)
+        .expect("feasible initial plan")
+        .plan;
+    // Shallow queues keep the spout back-pressured, so the source is still
+    // live when the migration lands.
+    let config = EngineConfig::builder()
+        .queue_capacity(2)
+        .jumbo_size(16)
+        .build();
+    let options = ElasticOptions {
+        sample_interval: Duration::from_millis(25),
+        min_gain: 0.02,
+        max_migrations: 2,
+        scaling,
+        force_replan_after: Some(4),
+        ..ElasticOptions::default()
+    };
+    let report = ElasticEngine::with_plan(app, machine, config, options, initial)
+        .expect("controller")
+        .run(RunLimit::Duration(LONG));
+
+    assert!(report.replans >= 1, "drift must trigger a re-plan");
+    let spout_emitted: u64 = report.epochs.iter().map(|e| e.operator(0).emitted).sum();
+    assert_eq!(spout_emitted, budget, "source budget across epochs");
+    assert_eq!(
+        report.sink_events(),
+        budget * word_count::WORDS_PER_SENTENCE as u64,
+        "sink volume across epochs"
+    );
 }

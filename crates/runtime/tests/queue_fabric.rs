@@ -1,6 +1,6 @@
 //! Property + stress tests for the queue fabrics.
 //!
-//! All [`QueueKind`]s must agree on the contract the engine depends on:
+//! Both [`QueueKind`]s must agree on the contract the engine depends on:
 //! FIFO order, a hard capacity bound (back-pressure), and close/drain
 //! semantics (pushes fail after close, queued items still pop). The
 //! properties replay randomized push/pop interleavings against a
@@ -13,7 +13,7 @@ use brisk_runtime::{MpscQueue, QueueKind, ReplicaQueue};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const KINDS: [QueueKind; 3] = [QueueKind::Mutex, QueueKind::Spsc, QueueKind::Mpsc];
+const KINDS: [QueueKind; 2] = [QueueKind::Spsc, QueueKind::Mpsc];
 
 /// Apply a randomized op sequence to a queue and a `VecDeque` model,
 /// checking they agree step by step. Ops: even = try-style push (via

@@ -9,7 +9,7 @@ use briskstream::core::BriskStream;
 use briskstream::dag::{CostProfile, TopologyBuilder};
 use briskstream::numa::Machine;
 use briskstream::runtime::{
-    AppRuntime, Collector, DynBolt, DynSpout, EngineConfig, QueueKind, SpoutStatus, TupleView,
+    AppRuntime, Collector, DynBolt, DynSpout, EngineConfig, SpoutStatus, TupleView,
 };
 use briskstream::sim::SimConfig;
 use std::time::Duration;
@@ -92,27 +92,23 @@ fn main() {
         },
     );
     let host_plan = host.submit(&topology).expect("feasible host plan");
-    // Run the same plan under both queue fabrics: the lock-free SPSC ring
-    // (default) and the mutex queue kept for comparison.
-    for queue_kind in [QueueKind::Spsc, QueueKind::Mutex] {
-        let app = AppRuntime::new(topology.clone())
-            .spout(spout, |_| NumberSpout { next: 0 })
-            .bolt(square, |_| SquareBolt)
-            .sink(sink, |_| NullSink);
-        let run = host
-            .execute(
-                app,
-                &host_plan.plan,
-                EngineConfig::builder().queue_kind(queue_kind).build(),
-                Duration::from_millis(500),
-            )
-            .expect("engine runs");
-        println!(
-            "threaded on this host [{queue_kind} queues]: {:.1}k events/s over {:?} ({} tuples, p99 {:.2} ms)",
-            run.k_events_per_sec(),
-            run.elapsed,
-            run.sink_events,
-            run.latency_ns.percentile(99.0) / 1e6
-        );
-    }
+    let app = AppRuntime::new(topology.clone())
+        .spout(spout, |_| NumberSpout { next: 0 })
+        .bolt(square, |_| SquareBolt)
+        .sink(sink, |_| NullSink);
+    let run = host
+        .execute(
+            app,
+            &host_plan.plan,
+            EngineConfig::default(),
+            Duration::from_millis(500),
+        )
+        .expect("engine runs");
+    println!(
+        "threaded on this host: {:.1}k events/s over {:?} ({} tuples, p99 {:.2} ms)",
+        run.k_events_per_sec(),
+        run.elapsed,
+        run.sink_events,
+        run.latency_ns.percentile(99.0) / 1e6
+    );
 }

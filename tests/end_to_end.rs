@@ -189,11 +189,10 @@ fn threaded_engine_runs_fraud_detection_and_spike_detection() {
 
 #[test]
 fn core_pool_decouples_rlas_replicas_from_worker_threads() {
-    // RLAS budgets *executors* (schedulable units), not OS threads: the
-    // same plan the thread-per-replica engine spawns one thread per
-    // executor for must run unchanged on a 2-worker core pool, even when
-    // the plan's executor count exceeds the pool. The serialized-chain
-    // model and the counters hold regardless of the mapping.
+    // RLAS budgets *executors* (schedulable units), not OS threads: a
+    // plan must run unchanged on a 2-worker core pool even when its
+    // executor count exceeds the pool. The serialized-chain model and the
+    // counters hold regardless of the mapping.
     let mut system = BriskStream::with_options(
         Machine::server_a().restrict_sockets(1),
         ScalingOptions {

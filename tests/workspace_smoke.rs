@@ -2,14 +2,13 @@
 //! `src/lib.rs` doctest — build the paper's Server A, submit the WordCount
 //! topology, and get back an optimized plan with positive predicted
 //! throughput. If this breaks, the README's first code sample is lying.
-//! Also runs the quickstart pipeline once under **each** queue fabric so CI
-//! exercises both the lock-free SPSC ring and the mutex queue end to end.
+//! Also runs the quickstart pipeline once on this host's engine.
 
 use briskstream::apps::word_count;
 use briskstream::core::BriskStream;
 use briskstream::numa::Machine;
 use briskstream::rlas::ScalingOptions;
-use briskstream::runtime::{EngineConfig, QueueKind};
+use briskstream::runtime::EngineConfig;
 use std::time::Duration;
 
 #[test]
@@ -60,34 +59,29 @@ fn quickstart_is_deterministic() {
 }
 
 #[test]
-fn quickstart_pipeline_runs_under_each_queue_fabric() {
-    for queue_kind in [QueueKind::Mutex, QueueKind::Spsc] {
-        let mut system = BriskStream::with_options(
-            Machine::server_a().restrict_sockets(1),
-            ScalingOptions {
-                compress_ratio: 1,
-                max_total_replicas: Some(6),
-                ..ScalingOptions::default()
-            },
-        );
-        let topology = word_count::topology();
-        let report = system.submit(&topology).expect("feasible plan");
-        let run = system
-            .execute(
-                word_count::app(),
-                &report.plan,
-                EngineConfig::builder().queue_kind(queue_kind).build(),
-                Duration::from_millis(250),
-            )
-            .expect("engine runs");
-        assert!(
-            run.sink_events > 100,
-            "{queue_kind}: only {} events reached the sink",
-            run.sink_events
-        );
-        assert!(
-            run.latency_ns.count() > 0,
-            "{queue_kind}: no latency samples recorded"
-        );
-    }
+fn quickstart_pipeline_runs_on_this_host() {
+    let mut system = BriskStream::with_options(
+        Machine::server_a().restrict_sockets(1),
+        ScalingOptions {
+            compress_ratio: 1,
+            max_total_replicas: Some(6),
+            ..ScalingOptions::default()
+        },
+    );
+    let topology = word_count::topology();
+    let report = system.submit(&topology).expect("feasible plan");
+    let run = system
+        .execute(
+            word_count::app(),
+            &report.plan,
+            EngineConfig::default(),
+            Duration::from_millis(250),
+        )
+        .expect("engine runs");
+    assert!(
+        run.sink_events > 100,
+        "only {} events reached the sink",
+        run.sink_events
+    );
+    assert!(run.latency_ns.count() > 0, "no latency samples recorded");
 }
