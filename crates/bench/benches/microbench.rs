@@ -2,8 +2,8 @@
 //! queue operations, model evaluation, B&B placement, simulation event
 //! throughput and workload generation.
 
-use brisk_apps::{generators::SentenceGenerator, word_count};
-use brisk_dag::{ExecutionGraph, Placement};
+use brisk_apps::{generators::SentenceGenerator, linear_road, word_count};
+use brisk_dag::{ExecutionGraph, Placement, VertexId};
 use brisk_model::Evaluator;
 use brisk_numa::{Machine, SocketId};
 use brisk_rlas::{optimize_placement, PlacementOptions};
@@ -47,6 +47,50 @@ fn bench_model(c: &mut Criterion) {
     });
 }
 
+/// The replication the benchmark's paper-scale `lr` plan settles on
+/// (Server B, compression 5: 16 vertices).
+const LR_PAPER_REPLICATION: [usize; 12] = [1, 1, 1, 2, 1, 2, 2, 1, 25, 1, 1, 1];
+
+/// The `plan_time_s` rung on `lr`, visible without the 46 s benchmark run:
+/// one B&B bound on a half-placed node, three ways. The search pays the
+/// third per child; `model.bound_us` of the benchmark times the first.
+fn bench_bound(c: &mut Criterion) {
+    let machine = Machine::server_b();
+    let topology = linear_road::topology();
+    let graph = ExecutionGraph::new(&topology, &LR_PAPER_REPLICATION, 5);
+    let nv = graph.vertex_count();
+    let mut half = Placement::empty(nv);
+    for v in 0..nv / 2 {
+        half.place(VertexId(v), SocketId(v % machine.sockets()));
+    }
+    let bounder = Evaluator::saturated(&machine).bounding();
+    let model = bounder.prepare(&graph);
+    let mut g = c.benchmark_group("model/bound_lr_server_b");
+    g.bench_function("one_shot", |b| {
+        b.iter(|| std::hint::black_box(bounder.bound(&graph, &half)));
+    });
+    g.bench_function("prepared_full_pass", |b| {
+        let mut cursor = model.cursor(&bounder);
+        b.iter(|| {
+            cursor.load(&half);
+            std::hint::black_box(cursor.bound())
+        });
+    });
+    g.bench_function("cursor_place_bound_unplace", |b| {
+        let mut cursor = model.cursor(&bounder);
+        cursor.load(&half);
+        cursor.bound();
+        let next = VertexId(nv / 2);
+        b.iter(|| {
+            cursor.place(next, SocketId(1));
+            let bound = cursor.bound();
+            cursor.unplace(next);
+            std::hint::black_box(bound)
+        });
+    });
+    g.finish();
+}
+
 fn bench_placement(c: &mut Criterion) {
     let machine = Machine::server_a().restrict_sockets(2);
     let topology = word_count::topology();
@@ -56,6 +100,26 @@ fn bench_placement(c: &mut Criterion) {
         b.iter(|| {
             std::hint::black_box(
                 optimize_placement(&evaluator, &graph, &PlacementOptions::default())
+                    .expect("plan")
+                    .throughput,
+            )
+        });
+    });
+
+    // What the benchmark's `rlas.placement_ms` times: one search of the
+    // paper-scale `lr` shape (1 312 nodes).
+    let machine = Machine::server_b();
+    let topology = linear_road::topology();
+    let graph = ExecutionGraph::new(&topology, &LR_PAPER_REPLICATION, 5);
+    let evaluator = Evaluator::saturated(&machine);
+    let options = PlacementOptions {
+        max_executors: Some(machine.total_cores()),
+        ..PlacementOptions::default()
+    };
+    c.bench_function("rlas/bb_placement_lr_server_b", |b| {
+        b.iter(|| {
+            std::hint::black_box(
+                optimize_placement(&evaluator, &graph, &options)
                     .expect("plan")
                     .throughput,
             )
@@ -98,6 +162,7 @@ criterion_group!(
     benches,
     bench_queue,
     bench_model,
+    bench_bound,
     bench_placement,
     bench_sim,
     bench_generators

@@ -13,9 +13,23 @@ use brisk_numa::SocketId;
 
 /// Socket assignment of every execution vertex; `None` = not yet placed
 /// (B&B works on partial placements).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Placement {
     sockets: Vec<Option<SocketId>>,
+}
+
+impl Clone for Placement {
+    fn clone(&self) -> Placement {
+        Placement {
+            sockets: self.sockets.clone(),
+        }
+    }
+
+    /// Reuses `self`'s allocation: searches overwrite one scratch placement
+    /// per scored candidate.
+    fn clone_from(&mut self, source: &Placement) {
+        self.sockets.clone_from(&source.sockets);
+    }
 }
 
 impl Placement {

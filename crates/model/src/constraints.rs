@@ -127,11 +127,48 @@ impl ConstraintReport {
         placement: &Placement,
         eval: &Evaluation,
     ) -> ConstraintReport {
+        let mut demand = ResourceDemand::default();
+        demand.measure(machine, graph, placement, eval);
+        ConstraintReport {
+            violations: demand.violations(machine).collect(),
+        }
+    }
+}
+
+/// The left-hand sides of Eq. 3–5: what a placement's placed vertices ask
+/// of every socket and every channel. A value can be re-measured any number
+/// of times without allocating again — the B&B checks one per solution node.
+#[derive(Debug, Clone, Default)]
+pub struct ResourceDemand {
+    /// Replicas pinned per socket.
+    cores: Vec<usize>,
+    /// Eq. 3: cycles/sec demanded per socket.
+    cycles: Vec<f64>,
+    /// Eq. 4: bytes/sec of memory traffic per socket.
+    local_bw: Vec<f64>,
+    /// Eq. 5: bytes/sec per channel, row-major `[from][to]`.
+    channel: Vec<f64>,
+}
+
+impl ResourceDemand {
+    /// Measure `placement` (restricted to its placed vertices) on `machine`
+    /// using the rates in `eval`, replacing whatever was measured before.
+    pub fn measure(
+        &mut self,
+        machine: &Machine,
+        graph: &ExecutionGraph<'_>,
+        placement: &Placement,
+        eval: &Evaluation,
+    ) {
         let n = machine.sockets();
-        let mut cores = vec![0usize; n];
-        let mut cycles = vec![0.0f64; n];
-        let mut local_bw = vec![0.0f64; n];
-        let mut channel = vec![vec![0.0f64; n]; n];
+        self.cores.clear();
+        self.cores.resize(n, 0);
+        for per_socket in [&mut self.cycles, &mut self.local_bw] {
+            per_socket.clear();
+            per_socket.resize(n, 0.0);
+        }
+        self.channel.clear();
+        self.channel.resize(n * n, 0.0);
 
         for (vid, vertex) in graph.vertices() {
             let Some(socket) = placement.socket_of(vid) else {
@@ -139,12 +176,12 @@ impl ConstraintReport {
             };
             let rates = &eval.vertices[vid.0];
             let spec = graph.spec_of(vid);
-            cores[socket.0] += vertex.multiplicity;
+            self.cores[socket.0] += vertex.multiplicity;
             // ro * T: processed tuples/sec times cycles per tuple
             // (T includes the placement-dependent fetch stall).
             let cycles_per_tuple = machine.ns_to_cycles(rates.total_ns());
-            cycles[socket.0] += rates.processed_rate * cycles_per_tuple;
-            local_bw[socket.0] += rates.processed_rate * spec.cost.mem_bytes_per_tuple;
+            self.cycles[socket.0] += rates.processed_rate * cycles_per_tuple;
+            self.local_bw[socket.0] += rates.processed_rate * spec.cost.mem_bytes_per_tuple;
         }
 
         for (ei, edge) in graph.edges().iter().enumerate() {
@@ -157,53 +194,51 @@ impl ConstraintReport {
                 continue;
             }
             let bytes = graph.spec_of(edge.from).cost.output_bytes;
-            channel[from.0][to.0] += eval.edge_rates[ei] * bytes;
+            self.channel[from.0 * n + to.0] += eval.edge_rates[ei] * bytes;
         }
+    }
 
-        let mut violations = Vec::new();
+    /// Every constraint of `machine` the measured demand exceeds: per
+    /// socket cores, cycles and local bandwidth, then per channel.
+    pub fn violations<'s>(&'s self, machine: &'s Machine) -> impl Iterator<Item = Violation> + 's {
+        let n = self.cores.len();
         let c = machine.cycles_per_socket();
         let b = machine.local_bandwidth();
-        for s in 0..n {
-            if cores[s] > machine.cores_per_socket() {
-                violations.push(Violation::Cores {
-                    socket: SocketId(s),
-                    used: cores[s],
-                    capacity: machine.cores_per_socket(),
-                });
-            }
-            if cycles[s] > c * (1.0 + CONSTRAINT_TOLERANCE) {
-                violations.push(Violation::CpuCycles {
-                    socket: SocketId(s),
-                    used: cycles[s],
+        let per_socket = (0..n).flat_map(move |s| {
+            let socket = SocketId(s);
+            let cores = (self.cores[s] > machine.cores_per_socket()).then(|| Violation::Cores {
+                socket,
+                used: self.cores[s],
+                capacity: machine.cores_per_socket(),
+            });
+            let cycles =
+                (self.cycles[s] > c * (1.0 + CONSTRAINT_TOLERANCE)).then(|| Violation::CpuCycles {
+                    socket,
+                    used: self.cycles[s],
                     capacity: c,
                 });
-            }
-            if local_bw[s] > b * (1.0 + CONSTRAINT_TOLERANCE) {
-                violations.push(Violation::LocalBandwidth {
-                    socket: SocketId(s),
-                    used: local_bw[s],
+            let local_bw = (self.local_bw[s] > b * (1.0 + CONSTRAINT_TOLERANCE)).then(|| {
+                Violation::LocalBandwidth {
+                    socket,
+                    used: self.local_bw[s],
                     capacity: b,
-                });
-            }
-        }
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
                 }
-                let q = machine.remote_bandwidth(SocketId(i), SocketId(j));
-                if channel[i][j] > q * (1.0 + CONSTRAINT_TOLERANCE) {
-                    violations.push(Violation::ChannelBandwidth {
-                        from: SocketId(i),
-                        to: SocketId(j),
-                        used: channel[i][j],
-                        capacity: q,
-                    });
+            });
+            [cores, cycles, local_bw].into_iter().flatten()
+        });
+        let per_channel = (0..n * n).filter_map(move |ij| {
+            let (from, to) = (SocketId(ij / n), SocketId(ij % n));
+            let q = machine.remote_bandwidth(from, to);
+            (from != to && self.channel[ij] > q * (1.0 + CONSTRAINT_TOLERANCE)).then(|| {
+                Violation::ChannelBandwidth {
+                    from,
+                    to,
+                    used: self.channel[ij],
+                    capacity: q,
                 }
-            }
-        }
-        ConstraintReport { violations }
+            })
+        });
+        per_socket.chain(per_channel)
     }
 }
 

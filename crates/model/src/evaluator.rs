@@ -25,7 +25,8 @@
 //! the signal the scaling algorithm grows replication by (Case 1 of the
 //! paper, expressed against the spout-saturated demand).
 
-use brisk_dag::{ExecutionGraph, FusionPlan, OperatorKind, Partitioning, Placement, VertexId};
+use crate::prepared::PreparedModel;
+use brisk_dag::{ExecutionGraph, Placement, VertexId};
 use brisk_numa::{Machine, SocketId, CACHE_LINE_BYTES};
 
 /// An input rate is a bottleneck when it exceeds capacity by this relative
@@ -108,7 +109,7 @@ impl VertexRates {
 }
 
 /// Result of evaluating a (possibly partial) placement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Evaluation {
     /// Application throughput `R = Σ_sink ro` in tuples/sec.
     pub throughput: f64,
@@ -136,8 +137,7 @@ impl Evaluation {
     /// For each bottlenecked operator, the over-supply ratio (demand at
     /// spout saturation / pooled capacity). The scaling algorithm grows the
     /// replication level by `ceil(ratio)`.
-    pub fn bottleneck_operators(&self, graph: &ExecutionGraph<'_>) -> Vec<(usize, f64)> {
-        let _ = graph;
+    pub fn bottleneck_operators(&self) -> Vec<(usize, f64)> {
         self.operator_pressure
             .iter()
             .enumerate()
@@ -268,10 +268,26 @@ impl<'m> Evaluator<'m> {
     /// treats unplaced endpoints as collocated (`Tf = 0`), which is exactly
     /// how the paper computes the upper bound of a live node.
     pub fn fetch_ns(&self, bytes: f64, from: Option<SocketId>, to: Option<SocketId>) -> f64 {
-        let lines = (bytes / CACHE_LINE_BYTES as f64).ceil().max(1.0);
+        let worst = match self.tf_policy {
+            TfPolicy::AlwaysRemote => worst_latency_ns(self.machine),
+            _ => 0.0,
+        };
+        self.fetch_lines_ns(cache_lines(bytes), worst, from, to)
+    }
+
+    /// Formula 2 for a tuple of `lines` cache lines, with the machine's
+    /// worst-case latency supplied by the caller (the prepared model looks
+    /// it up once per graph, not once per edge).
+    pub(crate) fn fetch_lines_ns(
+        &self,
+        lines: f64,
+        worst_latency_ns: f64,
+        from: Option<SocketId>,
+        to: Option<SocketId>,
+    ) -> f64 {
         match self.tf_policy {
             TfPolicy::NeverRemote => 0.0,
-            TfPolicy::AlwaysRemote => lines * self.worst_latency_ns(),
+            TfPolicy::AlwaysRemote => lines * worst_latency_ns,
             TfPolicy::RelativeLocation => match (from, to) {
                 (Some(i), Some(j)) if i != j => lines * self.machine.latency_ns(i, j),
                 _ => 0.0,
@@ -279,19 +295,21 @@ impl<'m> Evaluator<'m> {
         }
     }
 
-    fn worst_latency_ns(&self) -> f64 {
-        let mut worst: f64 = 0.0;
-        for i in self.machine.socket_ids() {
-            for j in self.machine.socket_ids() {
-                if i != j {
-                    worst = worst.max(self.machine.latency_ns(i, j));
-                }
-            }
-        }
-        worst
+    /// Everything the model derives from `graph` alone, computed once so
+    /// that any number of placements can be priced against it — see
+    /// [`PreparedModel`]. Only this evaluator's machine enters; ingress,
+    /// fetch policy and the fusion switches are applied per
+    /// [`Cursor`](crate::Cursor), so one prepared model serves every
+    /// configuration of one machine.
+    pub fn prepare<'a>(&self, graph: &'a ExecutionGraph<'a>) -> PreparedModel<'a>
+    where
+        'm: 'a,
+    {
+        PreparedModel::new(self.machine, graph)
     }
 
-    /// Evaluate the model over `graph` with `placement`.
+    /// Evaluate the model over `graph` with `placement`: prepare, then one
+    /// placement pass.
     ///
     /// The placement may be partial: unplaced vertices are treated as
     /// collocated with all of their producers and consumers (the bounding
@@ -299,355 +317,41 @@ impl<'m> Evaluator<'m> {
     /// for partial ones the returned throughput is the bounding-function
     /// value (a true upper bound on any completion — see the property tests).
     pub fn evaluate(&self, graph: &ExecutionGraph<'_>, placement: &Placement) -> Evaluation {
-        assert_eq!(
-            placement.len(),
-            graph.vertex_count(),
-            "placement must cover the graph"
-        );
-        let clock = self.machine.clock_hz();
-        let nv = graph.vertex_count();
-        let n_ops = graph.topology().operator_count();
-        // Fused edges are delivered inline inside one executor: no queue
-        // crossing, no fetch — their Formula-2 term is dropped outright.
-        let fusion = self
-            .fusion
-            .then(|| FusionPlan::from_graph(graph, placement));
-        // Bound-mode refinement: the optimistic (placement-free) fusion
-        // plan — edges outside it can never fuse, so every completion pays
-        // their crossing cost and the bound may charge it too.
-        let optimistic_fusion = (self.fusable_edges_ride_free && self.queue_overhead_ns > 0.0)
-            .then(|| FusionPlan::compute(graph.topology(), graph.replication(), None));
-
-        // ---- Pass 1: relative flow factors (per unit of aggregate spout
-        // output) and fetch-cost mixes. ----
-        let spout_vertices = graph.spout_vertices();
-        let total_spout_mult: usize = spout_vertices
-            .iter()
-            .map(|&v| graph.vertex(v).multiplicity)
-            .sum();
-        let mut in_factor = vec![0.0f64; nv]; // input per unit spout output
-        let mut out_factor = vec![0.0f64; nv]; // output per unit spout output
-        let mut edge_factor = vec![0.0f64; graph.edge_count()];
-        let mut weighted_tf = vec![0.0f64; nv]; // Σ factor × Tf(producer)
-        let mut weighted_queue = vec![0.0f64; nv]; // Σ factor × queue cost
-
-        for &v in &spout_vertices {
-            out_factor[v.0] = graph.vertex(v).multiplicity as f64 / total_spout_mult.max(1) as f64;
-        }
-
-        for &vid in graph.topological_order() {
-            let vertex = graph.vertex(vid);
-            let spec = graph.spec_of(vid);
-            let is_spout = spec.kind == OperatorKind::Spout;
-
-            // Output per logical stream from this vertex's processed flow.
-            // (For non-spouts, per-input-edge factors with exact Table 8
-            // selectivities were accumulated below as edges arrived; here we
-            // just forward them.)
-            for (lei, out) in graph.topology().outgoing_edge_refs(vertex.op) {
-                let stream = out.stream.as_str();
-                let stream_factor: f64 = if is_spout {
-                    out_factor[vid.0] * spec.selectivity(None, stream)
-                } else {
-                    graph
-                        .incoming_edges(vid)
-                        .map(|e| {
-                            let in_stream = graph.topology().edges()[e.edge.logical_edge]
-                                .stream
-                                .as_str();
-                            edge_factor[e.index] * spec.selectivity(Some(in_stream), stream)
-                        })
-                        .sum()
-                };
-                if stream_factor <= 0.0 {
-                    continue;
-                }
-                out_factor[vid.0] += if is_spout { 0.0 } else { stream_factor };
-                // Distribute over the consumer vertices of this logical edge.
-                let to_op = out.to;
-                let consumers = graph.vertices_of(to_op);
-                let total_mult: usize = consumers
-                    .iter()
-                    .map(|&c| graph.vertex(c).multiplicity)
-                    .sum();
-                let bytes = spec.cost.output_bytes;
-                let from_socket = placement.socket_of(vid);
-                for e in graph.outgoing_edges(vid) {
-                    if e.edge.logical_edge != lei {
-                        continue;
-                    }
-                    let cv = e.edge.to;
-                    let cmult = graph.vertex(cv).multiplicity as f64;
-                    let share = match out.partitioning {
-                        // Forward pairs replica i with replica i at equal
-                        // counts (an exact even spread across the
-                        // consumer's identically-shaped vertex groups) and
-                        // degrades to Shuffle otherwise — either way the
-                        // even spread below is what the engine executes.
-                        Partitioning::Shuffle | Partitioning::KeyBy | Partitioning::Forward => {
-                            stream_factor * cmult / total_mult as f64
-                        }
-                        Partitioning::Broadcast => stream_factor * cmult,
-                        Partitioning::Global => stream_factor,
-                    };
-                    edge_factor[e.index] += share;
-                    in_factor[cv.0] += share;
-                    let fused = fusion
-                        .as_ref()
-                        .is_some_and(|f| f.is_edge_fused(e.edge.logical_edge));
-                    // Fused edges travel inline: no fetch, no crossing.
-                    let (tf, queue) = if fused {
-                        (0.0, 0.0)
-                    } else {
-                        let crossing = match &optimistic_fusion {
-                            Some(of) if of.is_edge_fused(e.edge.logical_edge) => 0.0,
-                            _ => self.queue_overhead_ns,
-                        };
-                        (
-                            self.fetch_ns(bytes, from_socket, placement.socket_of(cv)),
-                            crossing,
-                        )
-                    };
-                    weighted_tf[cv.0] += share * tf;
-                    weighted_queue[cv.0] += share * queue;
-                }
-            }
-        }
-
-        // ---- Pass 2: per-vertex capacities. ----
-        // Core occupancy counts *executor threads*: a fused-away replica
-        // rides its host's thread, so (with fusion modelled) it does not
-        // claim a core of its own — exactly the engine's spawn behaviour.
-        let mut socket_replicas = vec![0usize; self.machine.sockets()];
-        for (vid, vertex) in graph.vertices() {
-            if fusion.as_ref().is_some_and(|f| f.is_fused_away(vertex.op)) {
-                continue;
-            }
-            if let Some(s) = placement.socket_of(vid) {
-                socket_replicas[s.0] += vertex.multiplicity;
-            }
-        }
-        let cores = self.machine.cores_per_socket();
-        let share_factor = |socket: Option<SocketId>| -> f64 {
-            match socket {
-                Some(s) if socket_replicas[s.0] > cores => {
-                    cores as f64 / socket_replicas[s.0] as f64
-                }
-                _ => 1.0,
-            }
-        };
-
-        let mut exec_ns = vec![0.0f64; nv];
-        let mut overhead_ns = vec![0.0f64; nv];
-        let mut state_ns = vec![0.0f64; nv];
-        let mut tf_ns = vec![0.0f64; nv];
-        let mut queue_ns = vec![0.0f64; nv];
-        let mut capacity = vec![0.0f64; nv];
-        for (vid, vertex) in graph.vertices() {
-            let spec = graph.spec_of(vid);
-            exec_ns[vid.0] = spec.cost.exec_cycles / clock * 1e9;
-            overhead_ns[vid.0] = spec.cost.overhead_cycles / clock * 1e9;
-            state_ns[vid.0] = spec.cost.state_cycles / clock * 1e9;
-            if in_factor[vid.0] > 0.0 {
-                tf_ns[vid.0] = weighted_tf[vid.0] / in_factor[vid.0];
-                queue_ns[vid.0] = weighted_queue[vid.0] / in_factor[vid.0];
-            }
-            let t = exec_ns[vid.0]
-                + overhead_ns[vid.0]
-                + state_ns[vid.0]
-                + tf_ns[vid.0]
-                + queue_ns[vid.0];
-            capacity[vid.0] = if t > 0.0 {
-                vertex.multiplicity as f64 * 1e9 / t * share_factor(placement.socket_of(vid))
-            } else {
-                f64::INFINITY
-            };
-        }
-
-        // Serialized-chain cost: a fused chain's replica pair is ONE
-        // thread running every member's per-tuple work back to back, so
-        // the chain sustains the spout-output rate `p_chain` at which the
-        // members' demands exactly fill the host thread:
-        //
-        //   Σ_member demand_factor(m) × T(m) × p_chain = mult × 1e9 × share
-        //
-        // (demand_factor = tuples a member handles per unit of aggregate
-        // spout output). Every member's capacity becomes its own share of
-        // `p_chain`, so the operator-pooled back-pressure pass below sees
-        // the chain saturate as one unit instead of crediting each
-        // fused-away operator a phantom executor.
-        if let Some(f) = &fusion {
-            let demand = |vid: VertexId| -> f64 {
-                if graph.spec_of(vid).kind == OperatorKind::Spout {
-                    out_factor[vid.0]
-                } else {
-                    in_factor[vid.0]
-                }
-            };
-            for chain in f.chains() {
-                let root_vs = graph.vertices_of(chain[0]);
-                // Equal replication along a chain + one compress ratio
-                // means every member splits into identical vertex groups.
-                debug_assert!(chain
-                    .iter()
-                    .all(|&op| graph.vertices_of(op).len() == root_vs.len()));
-                for (g, &root_v) in root_vs.iter().enumerate() {
-                    let busy_per_p: f64 = chain
-                        .iter()
-                        .map(|&op| {
-                            let v = graph.vertices_of(op)[g];
-                            demand(v)
-                                * (exec_ns[v.0]
-                                    + overhead_ns[v.0]
-                                    + state_ns[v.0]
-                                    + tf_ns[v.0]
-                                    + queue_ns[v.0])
-                        })
-                        .sum();
-                    let budget_ns = graph.vertex(root_v).multiplicity as f64
-                        * 1e9
-                        * share_factor(placement.socket_of(root_v));
-                    let p_chain = if busy_per_p > 0.0 {
-                        budget_ns / busy_per_p
-                    } else {
-                        f64::INFINITY
-                    };
-                    for &op in &chain {
-                        let v = graph.vertices_of(op)[g];
-                        capacity[v.0] = if p_chain.is_finite() {
-                            demand(v) * p_chain
-                        } else {
-                            f64::INFINITY
-                        };
-                    }
-                }
-            }
-        }
-
-        // ---- Pass 3: the sustainable spout output p*. ----
-        // Pool capacity and demand per operator: shuffle/key-by routing is
-        // work-conserving, so replicas of one operator share load.
-        let mut op_capacity = vec![0.0f64; n_ops];
-        let mut op_in_factor = vec![0.0f64; n_ops];
-        let mut op_gen_capacity = vec![0.0f64; n_ops]; // spouts
-        let mut op_gen_factor = vec![0.0f64; n_ops];
-        for (vid, vertex) in graph.vertices() {
-            let op = vertex.op.0;
-            if graph.spec_of(vid).kind == OperatorKind::Spout {
-                op_gen_capacity[op] += capacity[vid.0];
-                op_gen_factor[op] += out_factor[vid.0];
-            } else {
-                op_capacity[op] += capacity[vid.0];
-                op_in_factor[op] += in_factor[vid.0];
-            }
-        }
-        // Spout-saturated demand: what the spouts would emit unthrottled.
-        let mut p_sat = f64::INFINITY;
-        for op in 0..n_ops {
-            if op_gen_factor[op] > 0.0 {
-                p_sat = p_sat.min(op_gen_capacity[op] / op_gen_factor[op]);
-            }
-        }
-        if let Ingress::Rate(r) = self.ingress {
-            p_sat = p_sat.min(r.max(0.0));
-        }
-        // Back-pressure: the slowest operator (capacity per unit of demand)
-        // sets the steady state.
-        let mut p_star = p_sat;
-        for op in 0..n_ops {
-            if op_in_factor[op] > BOTTLENECK_TOLERANCE && op_capacity[op].is_finite() {
-                p_star = p_star.min(op_capacity[op] / op_in_factor[op]);
-            }
-        }
-        if !p_star.is_finite() {
-            p_star = 0.0;
-        }
-
-        // Over-supply pressure per operator against the saturated demand.
-        let mut pressure = vec![0.0f64; n_ops];
-        for op in 0..n_ops {
-            if op_in_factor[op] > BOTTLENECK_TOLERANCE && op_capacity[op] > 0.0 {
-                pressure[op] = op_in_factor[op] * p_sat / op_capacity[op];
-            } else if op_gen_factor[op] > 0.0 {
-                // A spout is "pressured" when external input outpaces it —
-                // always true in the saturated regime handled by the scaler.
-                pressure[op] = 0.0;
-            }
-        }
-
-        // ---- Final rates. ----
-        let mut rates = vec![
-            VertexRates {
-                input_rate: 0.0,
-                capacity: 0.0,
-                processed_rate: 0.0,
-                output_rate: 0.0,
-                exec_ns: 0.0,
-                overhead_ns: 0.0,
-                state_ns: 0.0,
-                tf_ns: 0.0,
-                queue_ns: 0.0,
-                bottleneck: false,
-            };
-            nv
-        ];
-        let mut edge_rates = vec![0.0f64; graph.edge_count()];
-        for (ei, f) in edge_factor.iter().enumerate() {
-            edge_rates[ei] = f * p_star;
-        }
-        let mut throughput = 0.0;
-        for (vid, vertex) in graph.vertices() {
-            let spec = graph.spec_of(vid);
-            let is_spout = spec.kind == OperatorKind::Spout;
-            let input = in_factor[vid.0] * p_star;
-            let processed = if is_spout {
-                out_factor[vid.0] * p_star
-            } else {
-                input.min(capacity[vid.0])
-            };
-            let output = if spec.kind == OperatorKind::Sink {
-                processed
-            } else if is_spout {
-                // Spout output across streams (selectivities applied).
-                graph
-                    .topology()
-                    .outgoing_edges(vertex.op)
-                    .map(|e| processed * spec.selectivity(None, &e.stream))
-                    .sum()
-            } else {
-                out_factor[vid.0] * p_star
-            };
-            if spec.kind == OperatorKind::Sink {
-                throughput += processed;
-            }
-            rates[vid.0] = VertexRates {
-                input_rate: input,
-                capacity: capacity[vid.0],
-                processed_rate: processed,
-                output_rate: output,
-                exec_ns: exec_ns[vid.0],
-                overhead_ns: overhead_ns[vid.0],
-                state_ns: state_ns[vid.0],
-                tf_ns: tf_ns[vid.0],
-                queue_ns: queue_ns[vid.0],
-                bottleneck: pressure[vertex.op.0] > 1.0 + BOTTLENECK_TOLERANCE,
-            };
-        }
-
-        Evaluation {
-            throughput,
-            vertices: rates,
-            edge_rates,
-            operator_pressure: pressure,
-        }
+        let model = self.prepare(graph);
+        let mut cursor = model.cursor(self);
+        cursor.load(placement);
+        cursor.evaluation()
     }
 
     /// The bounding function of the B&B search: the throughput upper bound
     /// for any completion of `placement` (unplaced vertices collocated with
     /// all producers, their constraints relaxed).
     pub fn bound(&self, graph: &ExecutionGraph<'_>, placement: &Placement) -> f64 {
-        self.evaluate(graph, placement).throughput
+        let model = self.prepare(graph);
+        let mut cursor = model.cursor(self);
+        cursor.load(placement);
+        cursor.bound()
     }
+}
+
+/// Cache lines one tuple of `bytes` bytes occupies: `ceil(N / S)` of
+/// Formula 2, at least one.
+pub(crate) fn cache_lines(bytes: f64) -> f64 {
+    (bytes / CACHE_LINE_BYTES as f64).ceil().max(1.0)
+}
+
+/// The largest `L(i, j)` between two different sockets — what
+/// [`TfPolicy::AlwaysRemote`] charges on every edge.
+pub(crate) fn worst_latency_ns(machine: &Machine) -> f64 {
+    let mut worst: f64 = 0.0;
+    for i in machine.socket_ids() {
+        for j in machine.socket_ids() {
+            if i != j {
+                worst = worst.max(machine.latency_ns(i, j));
+            }
+        }
+    }
+    worst
 }
 
 #[cfg(test)]
@@ -706,7 +410,7 @@ mod tests {
         assert!((eval.throughput - 5e6).abs() < 1.0);
         // Over-supply pressure of the bolt against the unthrottled spout:
         // 10M demand / 5M capacity = 2.
-        let bn = eval.bottleneck_operators(&g);
+        let bn = eval.bottleneck_operators();
         assert_eq!(bn.len(), 1);
         assert!((bn[0].1 - 2.0).abs() < 1e-6);
     }
@@ -1009,7 +713,7 @@ mod tests {
         let placement = Placement::all_on(g.vertex_count(), SocketId(0));
         let eval = Evaluator::saturated(&m).evaluate(&g, &placement);
         assert!((eval.throughput - 1e7).abs() < 10.0);
-        let bn = eval.bottleneck_operators(&g);
+        let bn = eval.bottleneck_operators();
         assert!(bn.is_empty(), "no operator should be over-supplied: {bn:?}");
     }
 

@@ -22,6 +22,13 @@
 //! DRAM bandwidth and per-link remote channel bandwidth — plus the physical
 //! one-replica-per-core limit implied by the paper's core-isolated execution.
 //!
+//! The model is split into what a graph fixes and what a placement changes
+//! ([`prepared`]): [`Evaluator::prepare`] derives the placement-independent
+//! terms once per execution graph, and a [`Cursor`] prices placements over
+//! them, re-pricing only what a `place`/`unplace` step touched — which is
+//! what makes a B&B node cheap. [`Evaluator::evaluate`] and
+//! [`Evaluator::bound`] are the one-shot form of the same pass.
+//!
 //! Three fetch-cost policies support the Figure 12 ablation:
 //!
 //! * [`TfPolicy::RelativeLocation`] — the real RLAS model.
@@ -34,15 +41,17 @@ pub mod comm;
 pub mod constraints;
 pub mod evaluator;
 pub mod predict;
+pub mod prepared;
 pub mod recalibrate;
 
 pub use comm::comm_cost_matrix;
-pub use constraints::{ConstraintReport, Violation};
+pub use constraints::{ConstraintReport, ResourceDemand, Violation};
 pub use evaluator::{
     Evaluation, Evaluator, Ingress, TfPolicy, VertexRates, BOTTLENECK_TOLERANCE,
     DEFAULT_QUEUE_OVERHEAD_NS,
 };
 pub use predict::{predict_for_plan, OperatorPrediction, PlanPrediction};
+pub use prepared::{Cursor, PreparedModel};
 pub use recalibrate::{
     recalibrate_from_measurement, MeasuredOperator, Recalibration, MIN_CALIBRATION_TUPLES,
 };

@@ -22,12 +22,9 @@
 //!   so only the lowest-indexed empty socket is branched ("S1 is identical
 //!   to S0 at this point", Figure 5).
 
-use brisk_dag::{ExecutionGraph, FusionPlan, Placement, VertexId};
-use brisk_model::{ConstraintReport, Evaluation, Evaluator};
-use brisk_numa::SocketId;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use brisk_dag::{ExecutionGraph, Placement, VertexId};
+use brisk_model::{Cursor, Evaluation, Evaluator, PreparedModel, ResourceDemand};
+use brisk_numa::{Machine, SocketId};
 
 /// Tuning knobs for the B&B search.
 #[derive(Debug, Clone, Copy)]
@@ -82,11 +79,6 @@ pub struct PlacementResult {
     pub solutions: usize,
 }
 
-struct Node {
-    placement: Placement,
-    bound: f64,
-}
-
 /// Searches for the throughput-maximizing placement of `graph` on the
 /// evaluator's machine. Returns `None` when no placement satisfies the
 /// resource constraints (the signal that makes the scaling loop stop).
@@ -113,202 +105,32 @@ pub fn optimize_placement_seeded(
     seed: Option<&Placement>,
 ) -> Option<PlacementResult> {
     let machine = evaluator.machine;
-    let cores = machine.cores_per_socket();
-    let sockets = machine.sockets();
 
     // Quick infeasibility check: total replicas cannot exceed total cores.
-    if graph.total_replicas() > cores * sockets {
+    if graph.total_replicas() > machine.total_cores() {
         return None;
     }
 
-    // Complete placements are scored under the fusion-aware model: the
-    // engine fuses eligible chains by default, so the honest objective
-    // serializes fused chains, credits their freed threads, and charges
-    // unfused edges the per-tuple queue-crossing cost (splitting a chain
-    // is not free). Bounds and best-fit ranking stay fusion-free — a
-    // partial placement's "unplaced = collocated" relaxation would fuse
-    // everything and under-state completions, while the unfused bound
-    // remains admissible (in-search placements never oversubscribe a
-    // socket, so the fused objective only removes capacity versus the
-    // bound's model). The bound is tightened fusion-aware: edges *no*
-    // placement can fuse (replica counts or partitioning already rule it
-    // out) are charged the queue-crossing cost every completion pays on
-    // them, pruning harder with no risk to optimality.
-    let scorer = evaluator.fused_engine();
-    let bounder = evaluator.bounding();
-    // Thread-budget feasibility of a complete placement: fused-away
-    // replicas ride their hosts, everyone else costs a thread. (The
-    // fused scorer re-derives the same FusionPlan inside `evaluate`; the
-    // duplication is accepted — this check is the cheap early-out that
-    // skips the full evaluation for over-budget solutions, and both are
-    // O(V+E) against a node-capped search.)
-    let within_thread_budget = |placement: &Placement| -> bool {
-        match options.max_executors {
-            None => true,
-            Some(cap) => {
-                FusionPlan::from_graph(graph, placement).spawned_executors(graph.replication())
-                    <= cap
-            }
-        }
-    };
-
-    // Collocation decision list: every directly connected vertex pair, in
-    // deterministic (producer-topo, consumer-topo) order.
-    let decisions = build_decisions(graph);
-
-    // Edges that fuse when their replica pairs collocate (optimistic:
-    // placement unknown). Placing such a pair apart versus together flips
-    // between queued-parallel and serialized-inline execution — a genuine
-    // objective trade-off the best-fit heuristic's unfused ranking cannot
-    // see, so those decisions keep their full branch set.
-    let optimistic_fusion = FusionPlan::compute(graph.topology(), graph.replication(), None);
-
-    let mut best: Option<(Placement, f64, Evaluation)> = None;
-    let mut explored = 0usize;
-    let mut pruned = 0usize;
-    let mut solutions = 0usize;
-
-    let mut try_seed = |p: Placement, best: &mut Option<(Placement, f64, Evaluation)>| {
-        if p.len() != graph.vertex_count() || !p.is_complete() {
-            return;
-        }
-        let eval = scorer.evaluate(graph, &p);
-        if ConstraintReport::check(machine, graph, &p, &eval).ok() && within_thread_budget(&p) {
-            let better = best.as_ref().map(|&(_, t, _)| eval.throughput > t);
-            if better.unwrap_or(true) {
-                solutions += 1;
-                *best = Some((p, eval.throughput, eval));
-            }
-        }
-    };
+    let model = evaluator.prepare(graph);
+    let mut search = Search::new(evaluator, &model, options);
     if let Some(seed) = seed {
-        try_seed(seed.clone(), &mut best);
+        search.try_seed(seed);
     }
     if options.seed_first_fit {
         if let Some(p) = crate::strategies::first_fit(graph, machine) {
-            try_seed(p, &mut best);
+            search.try_seed(&p);
         }
     }
+    let root = search.bounds.bound();
+    search.visit(root, 0);
 
-    let root = Node {
-        bound: bounder.bound(graph, &Placement::empty(graph.vertex_count())),
-        placement: Placement::empty(graph.vertex_count()),
-    };
-    let mut stack = vec![root];
-    let mut seen: HashSet<u64> = HashSet::new();
-
-    while let Some(node) = stack.pop() {
-        if explored >= options.max_nodes {
-            break;
-        }
-        explored += 1;
-        if let Some((_, incumbent, _)) = &best {
-            if node.bound <= *incumbent {
-                pruned += 1;
-                continue;
-            }
-        }
-
-        // Find the first unresolved decision (both endpoints placed =>
-        // resolved and discarded).
-        let next = decisions
-            .iter()
-            .find(|&&(p, c)| {
-                node.placement.socket_of(p).is_none() || node.placement.socket_of(c).is_none()
-            })
-            .copied();
-
-        let Some((p, c)) = next else {
-            // No decisions left. Mop up isolated vertices, then treat as a
-            // solution candidate.
-            let mut placement = node.placement;
-            place_leftovers(graph, machine, &mut placement);
-            if !placement.is_complete() {
-                continue; // could not fit the leftovers
-            }
-            if !within_thread_budget(&placement) {
-                continue; // splits too many fusable pairs: over thread budget
-            }
-            let eval = scorer.evaluate(graph, &placement);
-            if !ConstraintReport::check(machine, graph, &placement, &eval).ok() {
-                continue;
-            }
-            solutions += 1;
-            let better = best
-                .as_ref()
-                .map(|&(_, t, _)| eval.throughput > t)
-                .unwrap_or(true);
-            if better {
-                best = Some((placement, eval.throughput, eval));
-            }
-            continue;
-        };
-
-        // Generate candidate child placements resolving (p, c).
-        let mut children = candidate_placements(graph, machine, &node.placement, p, c);
-        if children.is_empty() {
-            continue; // dead end: no socket can host the pair
-        }
-
-        // Best-fit: if every predecessor of p (and of c except p) is placed,
-        // the pair's rate is determined — keep only the best child. Skipped
-        // for fusable pairs, where apart-vs-together changes the execution
-        // shape, not just the fetch cost.
-        let fusable_pair = graph
-            .outgoing_edges(p)
-            .any(|e| e.edge.to == c && optimistic_fusion.is_edge_fused(e.edge.logical_edge));
-        if options.best_fit && !fusable_pair && best_fit_applies(graph, &node.placement, p, c) {
-            let mut ranked: Vec<(f64, usize, usize)> = children
-                .iter()
-                .enumerate()
-                .map(|(i, cand)| {
-                    let eval = evaluator.evaluate(graph, cand);
-                    let out = eval.vertices[c.0].output_rate;
-                    let remaining = remaining_cores_on(
-                        graph,
-                        machine,
-                        cand,
-                        cand.socket_of(c).expect("candidate places c"),
-                    );
-                    (out, remaining, i)
-                })
-                .collect();
-            // Max output rate; tie-break least remaining cores.
-            ranked.sort_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .expect("rates are finite")
-                    .then(a.1.cmp(&b.1))
-            });
-            let keep = ranked[0].2;
-            children = vec![children.swap_remove(keep)];
-        }
-
-        // Push children ordered by ascending bound so the most promising is
-        // explored first (DFS pops the top of the stack).
-        let mut scored: Vec<Node> = Vec::with_capacity(children.len());
-        for cand in children {
-            if options.redundancy_elimination {
-                let sig = placement_signature(&cand);
-                if !seen.insert(sig) {
-                    continue;
-                }
-            }
-            let bound = bounder.bound(graph, &cand);
-            if let Some((_, incumbent, _)) = &best {
-                if bound <= *incumbent {
-                    pruned += 1;
-                    continue;
-                }
-            }
-            scored.push(Node {
-                placement: cand,
-                bound,
-            });
-        }
-        scored.sort_by(|a, b| a.bound.partial_cmp(&b.bound).expect("finite bounds"));
-        stack.extend(scored);
-    }
-
+    let Search {
+        best,
+        explored,
+        pruned,
+        solutions,
+        ..
+    } = search;
     best.map(|(placement, throughput, evaluation)| PlacementResult {
         placement,
         throughput,
@@ -319,169 +141,527 @@ pub fn optimize_placement_seeded(
     })
 }
 
-/// All producer→consumer vertex pairs, deduplicated, in topo order.
-fn build_decisions(graph: &ExecutionGraph<'_>) -> Vec<(VertexId, VertexId)> {
-    let mut topo_pos = vec![0usize; graph.vertex_count()];
-    for (i, &v) in graph.topological_order().iter().enumerate() {
-        topo_pos[v.0] = i;
-    }
-    let mut pairs: Vec<(VertexId, VertexId)> =
-        graph.edges().iter().map(|e| (e.from, e.to)).collect();
-    pairs.sort_by_key(|&(p, c)| (topo_pos[p.0], topo_pos[c.0]));
-    pairs.dedup();
-    pairs
+/// One collocation decision: a directly connected vertex pair.
+#[derive(Clone, Copy)]
+struct Decision {
+    producer: VertexId,
+    consumer: VertexId,
+    /// The pair fuses when collocated. Placing it apart versus together
+    /// flips between queued-parallel and serialized-inline execution — a
+    /// genuine objective trade-off the best-fit heuristic's unfused ranking
+    /// cannot see, so such a decision keeps its full branch set.
+    fusable: bool,
 }
 
-/// Free cores on `socket` under `placement`.
-fn remaining_cores_on(
-    graph: &ExecutionGraph<'_>,
-    machine: &brisk_numa::Machine,
-    placement: &Placement,
-    socket: SocketId,
-) -> usize {
-    let used: usize = placement
-        .vertices_on(socket)
-        .map(|v| graph.vertex(v).multiplicity)
-        .sum();
-    machine.cores_per_socket().saturating_sub(used)
+/// One way of resolving a decision: a socket for each endpoint the parent
+/// node left unplaced, and the bound of the resulting node.
+#[derive(Clone, Copy)]
+struct Child {
+    producer: Option<SocketId>,
+    consumer: Option<SocketId>,
+    bound: f64,
 }
 
-/// Sockets able to host `need` more replicas, with empty-socket symmetry
-/// breaking: of all sockets currently hosting nothing, only the first is
-/// offered.
-fn feasible_sockets(
-    graph: &ExecutionGraph<'_>,
-    machine: &brisk_numa::Machine,
-    placement: &Placement,
-    need: usize,
-) -> Vec<SocketId> {
-    let mut result = Vec::new();
-    let mut offered_empty = false;
-    for s in machine.socket_ids() {
-        let used: usize = placement
-            .vertices_on(s)
-            .map(|v| graph.vertex(v).multiplicity)
-            .sum();
-        if used == 0 {
-            if !offered_empty && need <= machine.cores_per_socket() {
-                result.push(s);
-                offered_empty = true;
-            }
-            continue;
-        }
-        if used + need <= machine.cores_per_socket() {
-            result.push(s);
+impl Child {
+    /// A child not yet bounded.
+    fn new(producer: Option<SocketId>, consumer: Option<SocketId>) -> Child {
+        Child {
+            producer,
+            consumer,
+            bound: f64::NAN,
         }
     }
-    result
 }
 
-/// Child placements resolving decision `(p, c)` from `base`.
-fn candidate_placements(
-    graph: &ExecutionGraph<'_>,
-    machine: &brisk_numa::Machine,
-    base: &Placement,
-    p: VertexId,
-    c: VertexId,
-) -> Vec<Placement> {
-    let pm = graph.vertex(p).multiplicity;
-    let cm = graph.vertex(c).multiplicity;
-    let mut out = Vec::new();
-    match (base.socket_of(p), base.socket_of(c)) {
-        (Some(_), Some(_)) => {}
-        (Some(sp), None) => {
-            for s in feasible_sockets(graph, machine, base, cm) {
-                let mut cand = base.clone();
-                cand.place(c, s);
-                out.push(cand);
-            }
-            // Collocation onto sp is already covered when sp is feasible;
-            // nothing extra to add.
-            let _ = sp;
+/// A depth-first B&B over one prepared model. A node is the placement its
+/// cursors hold, so expanding one places and unplaces a vertex or two and
+/// allocates nothing.
+///
+/// Three cursors price three objectives. Complete placements are scored
+/// under the fusion-aware model: the engine fuses eligible chains by
+/// default, so the honest objective serializes fused chains, credits their
+/// freed threads, and charges unfused edges the per-tuple queue-crossing
+/// cost (splitting a chain is not free). Bounds and best-fit ranking stay
+/// fusion-free — a partial placement's "unplaced = collocated" relaxation
+/// would fuse everything and under-state completions, while the unfused
+/// bound remains admissible (in-search placements never oversubscribe a
+/// socket, so the fused objective only removes capacity versus the bound's
+/// model). The bound is tightened fusion-aware: edges *no* placement can
+/// fuse (replica counts or partitioning already rule it out) are charged
+/// the queue-crossing cost every completion pays on them, pruning harder
+/// with no risk to optimality.
+struct Search<'s> {
+    graph: &'s ExecutionGraph<'s>,
+    machine: &'s Machine,
+    options: &'s PlacementOptions,
+    /// Every directly connected vertex pair, in deterministic
+    /// (producer-topo, consumer-topo) order.
+    decisions: Vec<Decision>,
+    /// Vertices no decision mentions (e.g. extra replicas of a
+    /// `Global`-partitioned consumer): exactly the ones still unplaced once
+    /// every decision is resolved.
+    isolated: Vec<VertexId>,
+    /// The current node under [`Evaluator::bounding`]: every child's bound.
+    bounds: Cursor<'s>,
+    /// The current node under the caller's evaluator: best-fit ranking.
+    ranks: Cursor<'s>,
+    /// Complete placements under [`Evaluator::fused_engine`]: the
+    /// thread-budget check and the score.
+    scorer: Cursor<'s>,
+    /// Replicas per socket at the current node.
+    used: Vec<usize>,
+    visited: Visited,
+    /// Children of every node on the DFS path, one slice per depth.
+    frames: Vec<Child>,
+    /// The scorer's latest evaluation and its resource demand.
+    scored: Evaluation,
+    demand: ResourceDemand,
+    best: Option<(Placement, f64, Evaluation)>,
+    explored: usize,
+    pruned: usize,
+    solutions: usize,
+}
+
+impl<'s> Search<'s> {
+    fn new(
+        evaluator: &Evaluator<'s>,
+        model: &'s PreparedModel<'s>,
+        options: &'s PlacementOptions,
+    ) -> Search<'s> {
+        let graph = model.graph();
+        let machine = evaluator.machine;
+
+        let mut topo_pos = vec![0usize; graph.vertex_count()];
+        for (i, &v) in graph.topological_order().iter().enumerate() {
+            topo_pos[v.0] = i;
         }
-        (None, Some(sc)) => {
-            for s in feasible_sockets(graph, machine, base, pm) {
-                let mut cand = base.clone();
-                cand.place(p, s);
-                out.push(cand);
-            }
-            let _ = sc;
+        let mut pairs: Vec<(VertexId, VertexId)> =
+            graph.edges().iter().map(|e| (e.from, e.to)).collect();
+        pairs.sort_by_key(|&(p, c)| (topo_pos[p.0], topo_pos[c.0]));
+        pairs.dedup();
+        let mut isolated = vec![true; graph.vertex_count()];
+        let decisions = pairs
+            .into_iter()
+            .map(|(producer, consumer)| {
+                isolated[producer.0] = false;
+                isolated[consumer.0] = false;
+                Decision {
+                    producer,
+                    consumer,
+                    fusable: graph.outgoing_edges(producer).any(|e| {
+                        e.edge.to == consumer && model.fusable().is_edge_fused(e.edge.logical_edge)
+                    }),
+                }
+            })
+            .collect();
+
+        Search {
+            graph,
+            machine,
+            options,
+            decisions,
+            isolated: (0..graph.vertex_count())
+                .filter(|&v| isolated[v])
+                .map(VertexId)
+                .collect(),
+            bounds: model.cursor(&evaluator.bounding()),
+            ranks: model.cursor(evaluator),
+            scorer: model.cursor(&evaluator.fused_engine()),
+            used: vec![0; machine.sockets()],
+            visited: Visited::new(graph.vertex_count(), machine.sockets()),
+            frames: Vec::new(),
+            scored: Evaluation::default(),
+            demand: ResourceDemand::default(),
+            best: None,
+            explored: 0,
+            pruned: 0,
+            solutions: 0,
         }
-        (None, None) => {
-            for s1 in feasible_sockets(graph, machine, base, pm) {
-                let mut with_p = base.clone();
-                with_p.place(p, s1);
-                for s2 in feasible_sockets(graph, machine, &with_p, cm) {
-                    let mut cand = with_p.clone();
-                    cand.place(c, s2);
-                    out.push(cand);
+    }
+
+    /// Expand the node the cursors hold, whose bound is `bound` and whose
+    /// decisions before `resolved` are all resolved; then its subtree, most
+    /// promising child first. Returns false once the node budget is spent.
+    fn visit(&mut self, bound: f64, resolved: usize) -> bool {
+        if self.explored >= self.options.max_nodes {
+            return false;
+        }
+        self.explored += 1;
+        if self.beaten(bound) {
+            self.pruned += 1;
+            return true;
+        }
+
+        // The first unresolved decision (both endpoints placed => resolved;
+        // placements only grow along a path, so the scan never restarts).
+        let placement = self.bounds.placement();
+        let Some(next) = (resolved..self.decisions.len()).find(|&d| {
+            let d = &self.decisions[d];
+            placement.socket_of(d.producer).is_none() || placement.socket_of(d.consumer).is_none()
+        }) else {
+            self.visit_solution();
+            return true;
+        };
+        let decision = self.decisions[next];
+
+        let first = self.frames.len();
+        self.push_candidates(decision);
+        // Best-fit: if every predecessor of p (and of c except p) is placed,
+        // the pair's rate is determined — keep only the best child.
+        if self.frames.len() > first
+            && self.options.best_fit
+            && !decision.fusable
+            && self.best_fit_applies(decision)
+        {
+            self.keep_best_fit(decision, first);
+        }
+
+        // Bound each child never seen before; keep those that may still
+        // beat the incumbent.
+        let mut kept = first;
+        for i in first..self.frames.len() {
+            let mut child = self.frames[i];
+            self.step(decision, child, true);
+            let fresh = !self.options.redundancy_elimination
+                || self.visited.insert(self.bounds.placement());
+            if fresh {
+                child.bound = self.bounds.bound();
+            }
+            self.step(decision, child, false);
+            if !fresh {
+                continue;
+            }
+            if self.beaten(child.bound) {
+                self.pruned += 1;
+                continue;
+            }
+            self.frames[kept] = child;
+            kept += 1;
+        }
+        self.frames.truncate(kept);
+        self.frames[first..].sort_by(|a, b| a.bound.partial_cmp(&b.bound).expect("finite bounds"));
+
+        // Depth first, the most promising (highest bound) child first.
+        let mut open = true;
+        for i in (first..kept).rev() {
+            let child = self.frames[i];
+            self.step(decision, child, true);
+            open = self.visit(child.bound, next);
+            self.step(decision, child, false);
+            if !open {
+                break;
+            }
+        }
+        self.frames.truncate(first);
+        open
+    }
+
+    /// Whether the incumbent already matches or beats anything under a
+    /// node with this bound.
+    fn beaten(&self, bound: f64) -> bool {
+        self.best
+            .as_ref()
+            .is_some_and(|&(_, incumbent, _)| bound <= incumbent)
+    }
+
+    /// Move the node to `child` (`forward`) or back to its parent. Cursors
+    /// price lazily, so a move nobody reads before it is taken back (into a
+    /// solution node, or one the incumbent prunes on entry) is a slot write.
+    fn step(&mut self, decision: Decision, child: Child, forward: bool) {
+        for (v, socket) in [
+            (decision.producer, child.producer),
+            (decision.consumer, child.consumer),
+        ] {
+            let Some(socket) = socket else { continue };
+            let multiplicity = self.graph.vertex(v).multiplicity;
+            if forward {
+                self.bounds.place(v, socket);
+                self.ranks.place(v, socket);
+                self.used[socket.0] += multiplicity;
+            } else {
+                self.bounds.unplace(v);
+                self.ranks.unplace(v);
+                self.used[socket.0] -= multiplicity;
+            }
+        }
+    }
+
+    /// Whether `socket` can host `need` more replicas, with empty-socket
+    /// symmetry breaking: of all sockets currently hosting nothing, only
+    /// the first (tracked in `offered_empty` across one sweep) is offered.
+    fn admits(&self, socket: SocketId, need: usize, offered_empty: &mut bool) -> bool {
+        let cores = self.machine.cores_per_socket();
+        match self.used[socket.0] {
+            0 => {
+                let offer = !*offered_empty && need <= cores;
+                *offered_empty |= offer;
+                offer
+            }
+            used => used + need <= cores,
+        }
+    }
+
+    /// Push every child resolving `decision` from the current node.
+    fn push_candidates(&mut self, decision: Decision) {
+        let placement = self.bounds.placement();
+        let place_producer = placement.socket_of(decision.producer).is_none();
+        let place_consumer = placement.socket_of(decision.consumer).is_none();
+        let pm = self.graph.vertex(decision.producer).multiplicity;
+        let cm = self.graph.vertex(decision.consumer).multiplicity;
+        debug_assert!(place_producer || place_consumer, "decision is unresolved");
+        if place_producer && place_consumer {
+            let mut offered_empty = false;
+            for s1 in self.machine.socket_ids() {
+                if !self.admits(s1, pm, &mut offered_empty) {
+                    continue;
+                }
+                self.used[s1.0] += pm;
+                let mut offered_empty = false;
+                for s2 in self.machine.socket_ids() {
+                    if self.admits(s2, cm, &mut offered_empty) {
+                        self.frames.push(Child::new(Some(s1), Some(s2)));
+                    }
+                }
+                self.used[s1.0] -= pm;
+            }
+        } else {
+            // One endpoint is placed. Collocation with it is already
+            // covered when its socket is feasible; nothing extra to add.
+            let need = if place_producer { pm } else { cm };
+            let mut offered_empty = false;
+            for s in self.machine.socket_ids() {
+                if self.admits(s, need, &mut offered_empty) {
+                    self.frames.push(Child::new(
+                        place_producer.then_some(s),
+                        place_consumer.then_some(s),
+                    ));
                 }
             }
         }
     }
-    out
-}
 
-/// Heuristic-2 precondition: placing this pair cannot affect any
-/// predecessor's rate, because all predecessors of `p`, and all predecessors
-/// of `c` other than `p`, are already placed.
-fn best_fit_applies(
-    graph: &ExecutionGraph<'_>,
-    placement: &Placement,
-    p: VertexId,
-    c: VertexId,
-) -> bool {
-    graph
-        .producers_of(p)
-        .iter()
-        .all(|&q| placement.socket_of(q).is_some())
-        && graph
-            .producers_of(c)
-            .iter()
-            .filter(|&&q| q != p)
-            .all(|&q| placement.socket_of(q).is_some())
-}
+    /// Heuristic-2 precondition: placing this pair cannot affect any
+    /// predecessor's rate, because all predecessors of `p`, and all
+    /// predecessors of `c` other than `p`, are already placed.
+    fn best_fit_applies(&self, decision: Decision) -> bool {
+        let placement = self.bounds.placement();
+        let placed = |v: VertexId| placement.socket_of(v).is_some();
+        self.graph
+            .incoming_edges(decision.producer)
+            .all(|e| placed(e.edge.from))
+            && self
+                .graph
+                .incoming_edges(decision.consumer)
+                .all(|e| e.edge.from == decision.producer || placed(e.edge.from))
+    }
 
-/// Place vertices untouched by any collocation decision (e.g. extra replicas
-/// of a `Global`-partitioned consumer) on the emptiest feasible socket.
-fn place_leftovers(
-    graph: &ExecutionGraph<'_>,
-    machine: &brisk_numa::Machine,
-    placement: &mut Placement,
-) {
-    for (vid, vertex) in graph.vertices() {
-        if placement.socket_of(vid).is_some() {
-            continue;
+    /// Reduce the children `frames[first..]` to the single best fit: the
+    /// highest output rate of the consumer, ties to the socket with the
+    /// least remaining cores, then to the earliest candidate.
+    fn keep_best_fit(&mut self, decision: Decision, first: usize) {
+        let cores = self.machine.cores_per_socket();
+        let mut best: Option<(f64, usize, Child)> = None;
+        for i in first..self.frames.len() {
+            let child = self.frames[i];
+            self.step(decision, child, true);
+            let rate = self.ranks.output_rate(decision.consumer);
+            let home = self
+                .ranks
+                .placement()
+                .socket_of(decision.consumer)
+                .expect("candidate places c");
+            let remaining = cores.saturating_sub(self.used[home.0]);
+            self.step(decision, child, false);
+            let better = best
+                .as_ref()
+                .map_or(true, |&(best_rate, best_remaining, _)| {
+                    match rate.partial_cmp(&best_rate).expect("rates are finite") {
+                        std::cmp::Ordering::Greater => true,
+                        std::cmp::Ordering::Equal => remaining < best_remaining,
+                        std::cmp::Ordering::Less => false,
+                    }
+                });
+            if better {
+                best = Some((rate, remaining, child));
+            }
         }
-        let best = machine
-            .socket_ids()
-            .map(|s| (remaining_cores_on(graph, machine, placement, s), s))
-            .filter(|&(free, _)| free >= vertex.multiplicity)
-            .max_by_key(|&(free, s)| (free, std::cmp::Reverse(s)));
-        if let Some((_, s)) = best {
-            placement.place(vid, s);
+        let (_, _, child) = best.expect("at least one candidate");
+        self.frames.truncate(first);
+        self.frames.push(child);
+    }
+
+    /// Every decision is resolved: mop up isolated vertices on the
+    /// emptiest feasible socket, then treat the placement as a solution
+    /// candidate.
+    fn visit_solution(&mut self) {
+        self.scorer.load(self.bounds.placement());
+        let cores = self.machine.cores_per_socket();
+        let mut complete = true;
+        for i in 0..self.isolated.len() {
+            let v = self.isolated[i];
+            let multiplicity = self.graph.vertex(v).multiplicity;
+            let emptiest = self
+                .machine
+                .socket_ids()
+                .map(|s| (cores.saturating_sub(self.used[s.0]), s))
+                .filter(|&(free, _)| free >= multiplicity)
+                .max_by_key(|&(free, s)| (free, std::cmp::Reverse(s)));
+            match emptiest {
+                Some((_, s)) => {
+                    self.scorer.place(v, s);
+                    self.used[s.0] += multiplicity;
+                }
+                None => complete = false, // could not fit the leftovers
+            }
         }
+        if complete {
+            if let Some(throughput) = self.score() {
+                self.solutions += 1;
+                if self.improves(throughput) {
+                    self.adopt();
+                }
+            }
+        }
+        for &v in &self.isolated {
+            if let Some(s) = self.scorer.placement().socket_of(v) {
+                self.used[s.0] -= self.graph.vertex(v).multiplicity;
+            }
+        }
+    }
+
+    /// Score a known complete placement and install it as the incumbent if
+    /// it is valid and the best so far.
+    fn try_seed(&mut self, seed: &Placement) {
+        if seed.len() != self.graph.vertex_count() || !seed.is_complete() {
+            return;
+        }
+        self.scorer.load(seed);
+        if let Some(throughput) = self.score() {
+            if self.improves(throughput) {
+                self.solutions += 1;
+                self.adopt();
+            }
+        }
+    }
+
+    /// Throughput of the scorer's complete placement, or `None` when it is
+    /// infeasible: it splits so many fusable pairs that it spawns more
+    /// threads than the budget (fused-away replicas ride their hosts,
+    /// everyone else costs a thread), or it violates Eq. 3–5.
+    fn score(&mut self) -> Option<f64> {
+        if self
+            .options
+            .max_executors
+            .is_some_and(|cap| self.scorer.spawned_executors() > cap)
+        {
+            return None;
+        }
+        self.scorer.evaluate_into(&mut self.scored);
+        self.demand.measure(
+            self.machine,
+            self.graph,
+            self.scorer.placement(),
+            &self.scored,
+        );
+        let feasible = self.demand.violations(self.machine).next().is_none();
+        feasible.then_some(self.scored.throughput)
+    }
+
+    fn improves(&self, throughput: f64) -> bool {
+        self.best
+            .as_ref()
+            .map_or(true, |&(_, incumbent, _)| throughput > incumbent)
+    }
+
+    /// Make the placement just scored the incumbent.
+    fn adopt(&mut self) {
+        self.best = Some((
+            self.scorer.placement().clone(),
+            self.scored.throughput,
+            self.scored.clone(),
+        ));
     }
 }
 
-fn placement_signature(placement: &Placement) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    for i in 0..placement.len() {
-        placement
-            .socket_of(VertexId(i))
-            .map(|s| s.0 as i64)
-            .unwrap_or(-1)
-            .hash(&mut hasher);
+/// Redundancy elimination: the partial placements already bounded, keyed on
+/// the placement itself — a hash of it could collide and silently drop a
+/// never-visited state from a search documented as exact. Keys are packed a
+/// few bits per vertex and stored back to back, so recording a state
+/// allocates nothing beyond the arena's amortized growth.
+struct Visited {
+    /// Bits per vertex: 0 = unplaced, else socket + 1.
+    bits: usize,
+    /// `u64` words per key; a vertex never straddles two.
+    width: usize,
+    /// Every recorded key, back to back.
+    keys: Vec<u64>,
+    /// Open-addressing table over `keys`: key number + 1, or 0 for empty.
+    /// A power of two long and at most half full.
+    slots: Vec<u32>,
+    /// The key being looked up.
+    probe: Vec<u64>,
+}
+
+impl Visited {
+    fn new(vertices: usize, sockets: usize) -> Visited {
+        let bits = (usize::BITS - sockets.leading_zeros()) as usize;
+        let width = vertices.div_ceil(64 / bits).max(1);
+        Visited {
+            bits,
+            width,
+            keys: Vec::new(),
+            slots: vec![0; 64],
+            probe: vec![0; width],
+        }
     }
-    hasher.finish()
+
+    /// Record `placement`; false if it was recorded before.
+    fn insert(&mut self, placement: &Placement) -> bool {
+        let per_word = 64 / self.bits;
+        self.probe.fill(0);
+        for v in 0..placement.len() {
+            let slot = placement.socket_of(VertexId(v)).map_or(0, |s| s.0 + 1) as u64;
+            self.probe[v / per_word] |= slot << (v % per_word * self.bits);
+        }
+        let recorded = self.keys.len() / self.width;
+        if (recorded + 1) * 2 > self.slots.len() {
+            self.slots = vec![0; self.slots.len() * 2];
+            for (number, key) in self.keys.chunks_exact(self.width).enumerate() {
+                let free = Self::find(&self.slots, &self.keys, self.width, key);
+                self.slots[free] = number as u32 + 1;
+            }
+        }
+        let at = Self::find(&self.slots, &self.keys, self.width, &self.probe);
+        if self.slots[at] != 0 {
+            return false;
+        }
+        self.slots[at] = u32::try_from(recorded + 1).expect("fewer than 2^32 states");
+        self.keys.extend_from_slice(&self.probe);
+        true
+    }
+
+    /// The slot holding `key`, or the empty slot where it belongs.
+    fn find(slots: &[u32], keys: &[u64], width: usize, key: &[u64]) -> usize {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let mask = slots.len() - 1;
+        let mut at = BuildHasherDefault::<DefaultHasher>::default().hash_one(key) as usize & mask;
+        loop {
+            match slots[at] {
+                0 => return at,
+                number if &keys[(number as usize - 1) * width..][..width] == key => return at,
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use brisk_dag::{CostProfile, TopologyBuilder};
-    use brisk_model::{Ingress, TfPolicy};
-    use brisk_numa::{Machine, MachineBuilder};
+    use brisk_model::{ConstraintReport, Ingress, TfPolicy};
+    use brisk_numa::MachineBuilder;
 
     fn machine(sockets: usize, cores: usize) -> Machine {
         MachineBuilder::new("bb")
@@ -550,6 +730,57 @@ mod tests {
                 i += 1;
             }
         }
+    }
+
+    /// Every placement of `vertices` over `sockets` (unplaced included) is a
+    /// distinct key, and is recognised the second time.
+    fn visited_is_exact(vertices: usize, sockets: usize) {
+        let mut visited = Visited::new(vertices, sockets);
+        let states = (sockets + 1).pow(vertices as u32);
+        for round in 0..2 {
+            for mut state in 0..states {
+                let mut p = Placement::empty(vertices);
+                for v in 0..vertices {
+                    if let Some(s) = (state % (sockets + 1)).checked_sub(1) {
+                        p.place(VertexId(v), SocketId(s));
+                    }
+                    state /= sockets + 1;
+                }
+                assert_eq!(visited.insert(&p), round == 0, "{p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn visited_set_keys_on_the_placement_itself() {
+        // 2, 3 and 4 bits per vertex, in one word; the table grows on the way.
+        visited_is_exact(5, 2);
+        visited_is_exact(4, 4);
+        visited_is_exact(3, 8);
+        // 33 vertices at 4 bits need three words. Neighbouring states
+        // differ in a single slot, in any of the words.
+        let mut visited = Visited::new(33, 8);
+        assert_eq!(visited.width, 3);
+        let mut p = Placement::empty(33);
+        assert!(visited.insert(&p));
+        for v in 0..33 {
+            p.place(VertexId(v), SocketId(v % 8));
+            assert!(visited.insert(&p));
+            assert!(!visited.insert(&p));
+        }
+        p.unplace(VertexId(32));
+        assert!(!visited.insert(&p), "seen on the way up");
+        // Three bits per vertex leave the top bit of each word unused: the
+        // 21st and 22nd vertices land in different words.
+        let mut visited = Visited::new(22, 4);
+        assert_eq!(visited.width, 2);
+        let mut a = Placement::empty(22);
+        a.place(VertexId(20), SocketId(3));
+        let mut b = Placement::empty(22);
+        b.place(VertexId(21), SocketId(3));
+        assert!(visited.insert(&a));
+        assert!(visited.insert(&b));
+        assert!(!visited.insert(&a));
     }
 
     #[test]

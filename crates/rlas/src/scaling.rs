@@ -53,16 +53,14 @@ pub struct ScalingOptions {
     /// [`FusionPlan`] fuses away ride their hosts for free, so fusing a
     /// chain frees budget for replication elsewhere.
     ///
-    /// The budget is a *concurrency* constraint, not literally a thread
-    /// count: under thread-per-replica execution every spawned executor is
-    /// one OS thread, while under the work-stealing core pool
-    /// (`brisk_runtime::Scheduler::CorePool`) it is one schedulable task
-    /// and the pool's worker count caps how many run at once. Either way a
-    /// spawned executor only sustains its modelled rate when it
-    /// effectively owns a core, so the machine's core count remains the
-    /// right default budget for both schedulers — the pool just degrades
-    /// gracefully (time-sharing instead of oversubscribing) when a plan
-    /// exceeds it.
+    /// The budget is a *concurrency* constraint, not a thread count: the
+    /// engine's one executor is a work-stealing pool, every spawned
+    /// executor is one schedulable task on it, and the pool's worker count
+    /// — not the plan — caps how many run at once. A spawned executor only
+    /// sustains its modelled rate when it effectively owns a core, so the
+    /// machine's core count is the right default; a plan that exceeds the
+    /// cores it actually gets degrades gracefully (tasks time-share
+    /// workers) rather than oversubscribing threads.
     pub max_total_replicas: Option<usize>,
     /// Maximum scaling iterations (safety bound; the replica budget normally
     /// terminates the loop first).
@@ -256,7 +254,7 @@ pub fn optimize_with_policy(
             }
         }
 
-        match next_replication(topology, &graph, &result, &replication, budget, &banned) {
+        match next_replication(topology, &result, &replication, budget, &banned) {
             Some((next, grown_op)) => {
                 last_step = Some((grown_op, result.throughput, replication[grown_op]));
                 replication = next;
@@ -512,7 +510,6 @@ pub fn balanced_replication(topology: &LogicalTopology, budget: usize) -> Option
 /// favour of the next bottleneck.
 fn next_replication(
     topology: &LogicalTopology,
-    graph: &ExecutionGraph<'_>,
     result: &PlacementResult,
     replication: &[usize],
     budget: usize,
@@ -523,7 +520,7 @@ fn next_replication(
     if total >= budget {
         return None;
     }
-    let bottlenecks = result.evaluation.bottleneck_operators(graph);
+    let bottlenecks = result.evaluation.bottleneck_operators();
 
     // Reverse topological order: scale from sink towards spout.
     for &op in topology.topological_order().iter().rev() {

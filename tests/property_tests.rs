@@ -15,6 +15,12 @@ use briskstream::model::Evaluator;
 use briskstream::numa::{Machine, MachineBuilder, SocketId};
 use proptest::prelude::*;
 
+/// The prepared model's cursor-versus-one-shot differential lives with the
+/// model (`cargo test -p brisk-model`); it is compiled in here as well so
+/// that the tier-1 gate (`cargo test -q`, this package only) runs it.
+#[path = "../crates/model/tests/cursor_differential.rs"]
+mod cursor_differential;
+
 /// A random small pipeline: spout -> bolts... -> sink with random costs.
 fn arb_topology() -> impl Strategy<Value = LogicalTopology> {
     (
