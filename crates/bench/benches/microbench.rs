@@ -18,7 +18,7 @@ fn bench_queue(c: &mut Criterion) {
         let q: ReplicaQueue<u64> = ReplicaQueue::new(QueueKind::default(), 1024);
         let mut i = 0u64;
         b.iter(|| {
-            q.push(i).expect("open");
+            q.try_push(i).expect("room");
             i += 1;
             std::hint::black_box(q.try_pop())
         });
@@ -29,7 +29,8 @@ fn bench_queue(c: &mut Criterion) {
         // handle, the payloads never move (the zero-copy fast path).
         let batch = Batch::from_rows((0..64).map(|i| (i as u64, 0, i as u64)));
         b.iter(|| {
-            q.push(JumboTuple::new(0, 0, batch.clone())).expect("open");
+            q.try_push(JumboTuple::new(0, 0, batch.clone()))
+                .expect("room");
             std::hint::black_box(q.try_pop())
         });
     });

@@ -16,8 +16,8 @@
 //!   these should price like the u64 jumbo row — that invariance (not the
 //!   absolute number) is what the rows gate. A fabric that copied payloads
 //!   would scale with payload size and show up immediately here.
-//! * `batch8_jumbo64` — `push_n`/`pop_n` moving 8 jumbos per index
-//!   publish, the grouped flush/drain path.
+//! * `batch8_jumbo64` — eight `try_push`es drained by one `pop_n` (a
+//!   single head publish), the consumer's grouped drain path.
 //! * `xcore_pingpong_jumbo64` — the **2-thread** variant: a dedicated
 //!   consumer thread echoes each jumbo back on a second queue, so every
 //!   iteration is a genuine cross-thread round trip (two queue crossings
@@ -53,13 +53,13 @@ fn payload_jumbo<const BYTES: usize>(n: usize) -> JumboTuple {
 }
 
 /// Ping-pong `carried` through a fresh queue of `kind` (push then pop per
-/// iteration): pure queue overhead for whatever payload sits behind the
-/// batch handle.
+/// iteration, so the ring is never full): pure queue overhead for whatever
+/// payload sits behind the batch handle.
 fn pingpong_jumbo(b: &mut criterion::Bencher, kind: QueueKind, seed: JumboTuple) {
     let q: ReplicaQueue<JumboTuple> = ReplicaQueue::new(kind, 64);
     let mut carried = Some(seed);
     b.iter(|| {
-        q.push(carried.take().expect("carried")).expect("open");
+        q.try_push(carried.take().expect("carried")).expect("room");
         carried = q.try_pop();
         std::hint::black_box(carried.is_some())
     });
@@ -74,7 +74,7 @@ fn bench_kind(c: &mut Criterion, kind: QueueKind) {
         let q: ReplicaQueue<u64> = ReplicaQueue::new(kind, 1024);
         let mut i = 0u64;
         b.iter(|| {
-            q.push(i).expect("open");
+            q.try_push(i).expect("room");
             i = i.wrapping_add(1);
             std::hint::black_box(q.try_pop())
         });
@@ -102,7 +102,9 @@ fn bench_kind(c: &mut Criterion, kind: QueueKind) {
         let q: ReplicaQueue<JumboTuple> = ReplicaQueue::new(kind, 64);
         let mut carried: Vec<JumboTuple> = (0..8).map(|_| jumbo(64)).collect();
         b.iter(|| {
-            q.push_n(std::mem::take(&mut carried)).expect("open");
+            for jumbo in carried.drain(..) {
+                q.try_push(jumbo).expect("room");
+            }
             q.pop_n(&mut carried, 8);
             std::hint::black_box(carried.len())
         });
@@ -120,8 +122,10 @@ fn bench_kind(c: &mut Criterion, kind: QueueKind) {
             let down = Arc::clone(&down);
             std::thread::spawn(move || loop {
                 match up.try_pop() {
+                    // One jumbo is in flight at a time, so `down` is never
+                    // full: a refusal means the bench closed it.
                     Some(jumbo) => {
-                        if down.push(jumbo).is_err() {
+                        if down.try_push(jumbo).is_err() {
                             break;
                         }
                     }
@@ -138,7 +142,7 @@ fn bench_kind(c: &mut Criterion, kind: QueueKind) {
         };
         let mut carried = Some(jumbo(64));
         b.iter(|| {
-            up.push(carried.take().expect("carried")).expect("open");
+            up.try_push(carried.take().expect("carried")).expect("room");
             loop {
                 if let Some(back) = down.try_pop() {
                     carried = Some(back);

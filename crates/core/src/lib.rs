@@ -12,9 +12,10 @@
 //! 2. **RLAS optimization** — iterative scaling + branch-and-bound placement
 //!    against the machine's NUMA matrices.
 //! 3. **Execution** — either *simulated* on the virtual machine (the
-//!    measurement substrate for paper-scale experiments) or *threaded* on
-//!    the host via the real engine, with the plan's NUMA fetch penalties
-//!    injected.
+//!    measurement substrate for paper-scale experiments, and the only
+//!    place the machine's remote-fetch costs are charged) or *threaded* on
+//!    this host via the real engine, which runs the plan at the host's own
+//!    speed and uses its placement only to decide which edges fuse.
 //!
 //! ```
 //! use brisk_core::BriskStream;

@@ -103,7 +103,8 @@ impl BriskStream {
             .evaluate(&graph, &plan.placement)
     }
 
-    /// "Measure" a plan by simulating it on the virtual machine.
+    /// "Measure" a plan by simulating it on the virtual machine: this is
+    /// where the machine's Formula-2 fetch costs are charged per tuple.
     ///
     /// With `config.fusion` set, the discrete-event simulator collapses
     /// the plan's fusion chains exactly like the engine does (fused
@@ -125,8 +126,13 @@ impl BriskStream {
         Ok(Simulator::new(&self.machine, &graph, &plan.placement, config)?.run())
     }
 
-    /// Execute a real application under the plan on the host's threaded
-    /// engine for `duration`, with the plan's NUMA fetch costs injected.
+    /// Execute a real application under the plan on this host's threaded
+    /// engine for `duration`. The engine does not emulate the system's
+    /// machine: the plan's placement decides which edges fuse (only
+    /// collocated pairs may) and is checked against the machine — a plan
+    /// naming a socket it lacks is a [`PlanError::Engine`] — but nothing
+    /// is slowed down to that machine's remote-fetch latencies; use
+    /// [`BriskStream::simulate`] for those.
     pub fn execute(
         &self,
         app: AppRuntime,

@@ -7,8 +7,7 @@
 //! replica — and both replicas sit on the same (virtual) socket, the queue
 //! crossing between them buys nothing: the engine can run the consumer
 //! *inline* inside the producer's executor, eliminating the per-jumbo
-//! push/pop, the consumer's poll/back-off loop, and the fetch-cost
-//! injection on that edge.
+//! push/pop and the consumer's poll/back-off loop on that edge.
 //!
 //! A [`FusionPlan`] is the plan-level answer to "which edges collapse":
 //! it is derived from a topology plus a replication configuration (and,

@@ -162,7 +162,7 @@ pub struct Evaluator<'m> {
     /// Fetch-cost policy (RLAS vs the fixed-capability ablations).
     pub tf_policy: TfPolicy,
     /// Model operator-chain fusion, matching the engine default: edges a
-    /// [`FusionPlan`] collapses travel inside one executor, so they drop
+    /// [`brisk_dag::FusionPlan`] collapses travel inside one executor, so they drop
     /// their Formula-2 communication term (regardless of `tf_policy`) AND
     /// the chain pays the **serialized-chain cost** — each replica pair is
     /// one thread running every member's per-tuple time back to back, so

@@ -6,7 +6,7 @@
 //! still rode every queue crossing. This module replaces the per-tuple
 //! handle with a per-*container* one:
 //!
-//! * A **slab** ([`SlabCore`], private) owns the payloads of one batch as a
+//! * A **slab** (`SlabCore`, private) owns the payloads of one batch as a
 //!   single contiguous `Vec<T>`, plus parallel `event_ns` / `key` lanes.
 //!   It is refcounted (`Arc`) and type-erased behind three function
 //!   pointers chosen at seal time, so the downcast happens once per batch

@@ -33,7 +33,6 @@
 //! engine re-weights that operator's key-space shares
 //! ([`Engine::set_keyby_weights`]) so hot replicas shed keys to cold ones.
 
-use crate::engine::{plan_replica_sockets, NumaPenalty};
 use crate::operator::StateEntry;
 use crate::partition::keyby_slot_table;
 use crate::partition::route_keyed;
@@ -174,17 +173,18 @@ impl ElasticEngine {
         options: ElasticOptions,
         initial: ExecutionPlan,
     ) -> Result<ElasticEngine, String> {
-        app.validate()?;
-        if initial.replication.len() != app.topology.operator_count() {
-            return Err("initial plan does not cover every operator".into());
-        }
-        Ok(ElasticEngine {
+        let elastic = ElasticEngine {
             app: Arc::new(app),
             machine,
             config,
             options,
             initial,
-        })
+        };
+        // Refuse here what the first epoch's engine would refuse: an
+        // invalid app, or a plan that does not fit the topology or names
+        // a socket the machine lacks.
+        elastic.build_engine(&elastic.initial, &mut Vec::new(), &HashMap::new())?;
+        Ok(elastic)
     }
 
     /// The plan the first epoch will execute.
@@ -334,22 +334,21 @@ impl ElasticEngine {
         report
     }
 
-    /// Wire one epoch's engine: plan-derived NUMA penalty, carried KeyBy
-    /// weights, and the staged migration state (drained into the engine).
+    /// Wire one epoch's engine: the plan's placement (it decides which
+    /// edges fuse), carried KeyBy weights, and the staged migration state
+    /// (drained into the engine).
     fn build_engine(
         &self,
         plan: &ExecutionPlan,
         preload: &mut Vec<(usize, usize, Vec<StateEntry>)>,
         keyby_weights: &HashMap<usize, Vec<f64>>,
     ) -> Result<Engine, String> {
-        let mut config = self.config.clone();
-        let scale = config.numa_penalty.as_ref().map(|p| p.scale).unwrap_or(1.0);
-        config.numa_penalty = Some(NumaPenalty {
-            machine: self.machine.clone(),
-            replica_socket: plan_replica_sockets(&self.app.topology, plan),
-            scale,
-        });
-        let mut engine = Engine::from_shared(self.app.clone(), plan.replication.clone(), config)?;
+        let mut engine = Engine::from_shared(
+            self.app.clone(),
+            plan.replication.clone(),
+            self.config.clone(),
+        )?;
+        engine.place(plan, &self.machine)?;
         for (&op, weights) in keyby_weights {
             engine.set_keyby_weights(op, weights.clone())?;
         }

@@ -7,13 +7,12 @@
 //! finished *and* its input queues are drained, so no tuple in flight is
 //! lost.
 //!
-//! On a development host there is no 8-socket NUMA machine to pin against,
-//! so the engine keeps placement as bookkeeping and can optionally *inject*
-//! the remote-fetch penalty of a virtual machine ([`NumaPenalty`]): when a
-//! consumer pops a jumbo produced on a different (virtual) socket it spins
-//! for `tuples × ceil(N/S) × L(i,j)` nanoseconds — the exact Formula 2 cost
-//! the real hardware would charge. This keeps execution-plan shapes
-//! meaningful end to end.
+//! The engine runs a plan on the host it is started on; it does not emulate
+//! the machine the plan was optimized for. A plan's socket placement is kept
+//! as a fact per replica ([`Engine::replica_sockets`]) and decides one thing:
+//! which edges fuse, since only collocated pairs may. What a remote fetch
+//! costs on a multi-socket server is priced by the model (`brisk_model`) and
+//! charged by the simulator (`brisk_sim`), not here.
 
 use crate::batch::{Batch, BatchCursor, SlabPool, SlabStats};
 use crate::fusion::{FusedSinkState, FusedTarget, SinkLocal, SinkProgress};
@@ -35,35 +34,13 @@ use brisk_dag::{
     Partitioning,
 };
 use brisk_metrics::Histogram;
-use brisk_numa::{Machine, SocketId, CACHE_LINE_BYTES};
+use brisk_numa::{Machine, SocketId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Injected NUMA fetch costs for a virtual machine.
-#[derive(Debug, Clone)]
-pub struct NumaPenalty {
-    /// The virtual machine whose latency matrix is charged.
-    pub machine: Machine,
-    /// Virtual socket of every global replica index.
-    pub replica_socket: Vec<SocketId>,
-    /// Scale factor on the injected spin (1.0 = charge full Formula 2 cost).
-    pub scale: f64,
-}
-
-impl NumaPenalty {
-    fn fetch_ns(&self, producer: usize, consumer: usize, bytes: f64, tuples: usize) -> u64 {
-        let (i, j) = (self.replica_socket[producer], self.replica_socket[consumer]);
-        if i == j {
-            return 0;
-        }
-        let lines = (bytes / CACHE_LINE_BYTES as f64).ceil().max(1.0);
-        (lines * self.machine.latency_ns(i, j) * self.scale * tuples as f64) as u64
-    }
-}
 
 /// Engine tuning knobs.
 ///
@@ -91,18 +68,6 @@ pub struct EngineConfig {
     /// keeps running out its bounded slice, so a builder may grow past
     /// this before it seals.
     pub jumbo_size: usize,
-    /// Park interval ceiling for the adaptive spin → yield → park back-off
-    /// ladder (see [`crate::Backoff`]) idle pool workers wait on.
-    pub poll_backoff: Duration,
-    /// Emit-side flush cadence, in operator invocations.
-    pub flush_every: u32,
-    /// Optional virtual-NUMA fetch penalty.
-    pub numa_penalty: Option<NumaPenalty>,
-    /// Artificial extra cost per consumed tuple, in nanoseconds — lets tests
-    /// and examples emulate heavier (distributed-style) engines. Charged on
-    /// the queue pop path, so fused edges (which never cross a queue) skip
-    /// it, like they skip the NUMA penalty.
-    pub extra_cost_ns_per_tuple: u64,
     /// Operator-chain fusion (default on): 1:1 collocated producer→consumer
     /// chains collapse into a single executor calling the downstream
     /// operator inline instead of routing through a queue (see
@@ -131,10 +96,6 @@ impl Default for EngineConfig {
         EngineConfig {
             queue_capacity: 64,
             jumbo_size: 64,
-            poll_backoff: Duration::from_micros(100),
-            flush_every: 256,
-            numa_penalty: None,
-            extra_cost_ns_per_tuple: 0,
             fusion: true,
             scheduler: Scheduler::default(),
             restart: RestartPolicy::default(),
@@ -168,31 +129,6 @@ impl EngineConfigBuilder {
     /// Tuples per jumbo ([`EngineConfig::jumbo_size`]).
     pub fn jumbo_size(mut self, size: usize) -> Self {
         self.config.jumbo_size = size;
-        self
-    }
-
-    /// Park ceiling of the wait ladder ([`EngineConfig::poll_backoff`]).
-    pub fn poll_backoff(mut self, interval: Duration) -> Self {
-        self.config.poll_backoff = interval;
-        self
-    }
-
-    /// Emit-side flush cadence ([`EngineConfig::flush_every`]).
-    pub fn flush_every(mut self, invocations: u32) -> Self {
-        self.config.flush_every = invocations;
-        self
-    }
-
-    /// Inject a virtual-NUMA fetch penalty ([`EngineConfig::numa_penalty`]).
-    pub fn numa_penalty(mut self, penalty: NumaPenalty) -> Self {
-        self.config.numa_penalty = Some(penalty);
-        self
-    }
-
-    /// Artificial per-tuple consume cost
-    /// ([`EngineConfig::extra_cost_ns_per_tuple`]).
-    pub fn extra_cost_ns_per_tuple(mut self, ns: u64) -> Self {
-        self.config.extra_cost_ns_per_tuple = ns;
         self
     }
 
@@ -277,9 +213,9 @@ pub struct ReplicaRate {
     /// `tuples` divided by the sampling window, per second.
     pub rate: f64,
     /// Nanoseconds spent inside the operator's `consume` calls — execution
-    /// plus emission, including time blocked pushing to full downstream
-    /// queues, and including inline work of fused targets riding this
-    /// replica. Spout replicas report 0 (generation is not instrumented).
+    /// plus emission (pushes never wait: a full queue hands the jumbo
+    /// back), including inline work of fused targets riding this replica.
+    /// Spout replicas report 0 (generation is not instrumented).
     pub busy_ns: u64,
 }
 
@@ -398,16 +334,8 @@ impl RunReport {
     }
 }
 
-/// One wired input of a replica: the queue plus the Formula 2 bookkeeping
-/// the consumer charges per pop.
-pub(crate) struct InputPort {
-    pub(crate) queue: Arc<ReplicaQueue<JumboTuple>>,
-    /// Output bytes per tuple of the producing operator (Formula 2's `N`).
-    /// The producing *replica* is read per jumbo from
-    /// [`JumboTuple::producer`], since fan-in (MPSC) ports carry jumbos
-    /// from several producer replicas.
-    pub(crate) producer_bytes: f64,
-}
+/// One wired input of a replica: a handle on the queue it pops.
+pub(crate) type InputPort = Arc<ReplicaQueue<JumboTuple>>;
 
 /// The wired, ready-to-run engine.
 pub struct Engine {
@@ -426,6 +354,10 @@ pub struct Engine {
     /// (one weight per consumer replica), fed into the partitioners of
     /// every unfused KeyBy edge into that operator.
     keyby_weights: HashMap<usize, Vec<f64>>,
+    /// Socket of every global replica index under the plan this engine was
+    /// built from ([`Engine::with_plan`]); `None` for a bare replication
+    /// vector. Read by placement-aware fusion only.
+    replica_sockets: Option<Vec<SocketId>>,
 }
 
 impl Engine {
@@ -464,6 +396,7 @@ impl Engine {
             capture_state_on_stop: false,
             preload: Mutex::new(Vec::new()),
             keyby_weights: HashMap::new(),
+            replica_sockets: None,
         })
     }
 
@@ -521,30 +454,51 @@ impl Engine {
         Ok(())
     }
 
-    /// Build an engine from an optimized [`ExecutionPlan`], charging the
-    /// plan's NUMA fetch costs against `machine`'s latency matrix.
+    /// Build an engine from an optimized [`ExecutionPlan`] for `machine`.
+    /// The plan's placement decides which edges fuse (only collocated pairs
+    /// may); the run itself happens on this host, at this host's speed.
+    /// `Err` when the placement does not cover the plan's execution graph
+    /// or names a socket `machine` does not have.
     pub fn with_plan(
         app: AppRuntime,
         plan: &ExecutionPlan,
         machine: &Machine,
-        mut config: EngineConfig,
+        config: EngineConfig,
     ) -> Result<Engine, String> {
-        config.numa_penalty = Some(NumaPenalty {
-            machine: machine.clone(),
-            replica_socket: plan_replica_sockets(&app.topology, plan),
-            scale: 1.0,
-        });
-        Engine::new(app, plan.replication.clone(), config)
+        let mut engine = Engine::new(app, plan.replication.clone(), config)?;
+        engine.place(plan, machine)?;
+        Ok(engine)
     }
 
-    /// Virtual socket of every global replica index, when the engine was
-    /// built from a plan ([`Engine::with_plan`]) or given an explicit
-    /// [`NumaPenalty`].
+    /// Record `plan`'s placement on this engine after checking it against
+    /// the engine's topology and `machine`. The plan's replication must be
+    /// the engine's own.
+    pub(crate) fn place(&mut self, plan: &ExecutionPlan, machine: &Machine) -> Result<(), String> {
+        let graph = ExecutionGraph::new(&self.app.topology, &plan.replication, plan.compress_ratio);
+        if plan.placement.len() != graph.vertex_count() {
+            return Err(format!(
+                "placement covers {} vertices, the plan's execution graph has {}",
+                plan.placement.len(),
+                graph.vertex_count()
+            ));
+        }
+        let sockets = replica_sockets_of(&graph, plan);
+        if let Some(s) = sockets.iter().find(|s| s.0 >= machine.sockets()) {
+            return Err(format!(
+                "plan places a replica on socket {}, machine {} has {}",
+                s.0,
+                machine.name(),
+                machine.sockets()
+            ));
+        }
+        self.replica_sockets = Some(sockets);
+        Ok(())
+    }
+
+    /// Socket of every global replica index, when the engine was built from
+    /// a plan ([`Engine::with_plan`]).
     pub fn replica_sockets(&self) -> Option<&[SocketId]> {
-        self.config
-            .numa_penalty
-            .as_ref()
-            .map(|p| p.replica_socket.as_slice())
+        self.replica_sockets.as_deref()
     }
 
     /// Total operator replicas under this engine's plan (fused-away ones
@@ -626,8 +580,8 @@ impl Engine {
     /// ```
     ///
     /// Plan-driven runs work the same way: build via [`Engine::with_plan`]
-    /// (which charges the plan's NUMA fetch costs) and call
-    /// `run(...)` / [`Engine::run_until_events`] on the result.
+    /// (whose placement decides which edges fuse) and call `run(...)` /
+    /// [`Engine::run_until_events`] on the result.
     pub fn run(&self, limit: RunLimit) -> RunReport {
         self.start(limit).join()
     }
@@ -679,7 +633,7 @@ impl Engine {
         // explicit `workers` count outnumbers hardware cores, spinning
         // burns the timeslices the other workers need, so waiters park
         // almost immediately.
-        let backoff_profile = BackoffProfile::detect(pool_workers, self.config.poll_backoff);
+        let backoff_profile = BackoffProfile::detect(pool_workers, POLL_BACKOFF);
         let wake_hub = Arc::new(WakeHub::new(total_replicas));
 
         // Slab arenas for the zero-copy batch fabric: one pool per
@@ -716,78 +670,46 @@ impl Engine {
                 continue; // delivered inline by the host executor
             }
             let np = self.replication[edge.from.0];
-            let nc = match edge.partitioning {
-                Partitioning::Global => 1,
-                _ => self.replication[edge.to.0],
-            };
-            let producer_bytes = topology.operator(edge.from).cost.output_bytes;
-            if matches!(edge.partitioning, Partitioning::Global) && np > 1 {
-                // Funnel: several producer replicas feed the one consumer
-                // replica. Sharing an SpscQueue between producers would be
-                // a data race, so the wiring upgrades to the fan-in (MPSC)
-                // fabric and the consumer polls a single port.
+            let nc = self.replication[edge.to.0];
+            let base = replica_base[edge.to.0];
+            // A Global edge funnels every producer replica into consumer
+            // replica 0 through one shared queue (with several producers
+            // that is the fan-in ring; an SpscQueue is never shared). Every
+            // other edge gets one queue per (producer, consumer) pair it
+            // connects, so the single-producer contract holds by
+            // construction.
+            let funnel = matches!(edge.partitioning, Partitioning::Global).then(|| {
                 let q = new_queue(np);
-                inputs[replica_base[edge.to.0]].push(InputPort {
-                    queue: Arc::clone(&q),
-                    producer_bytes,
-                });
-                for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate().take(np) {
-                    outputs.push(OutputEdge::new(
-                        lei,
-                        edge.stream.clone(),
-                        Partitioner::new(edge.partitioning, 1),
-                        vec![Arc::clone(&q)],
-                        vec![replica_base[edge.to.0]],
-                        &pools[edge.from.0][r],
-                    ));
-                }
-                continue;
-            }
-            if matches!(edge.partitioning, Partitioning::Forward) && np == nc {
-                // Local forwarding at equal counts pins producer replica r
-                // to consumer replica r, so only that one queue exists per
-                // producer. (At unequal counts the pairing is meaningless
-                // and the edge falls through to the general wiring below,
-                // where the Forward partitioner degrades to Shuffle — the
-                // model's even-spread, work-conserving treatment is then
-                // exact.)
-                for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate().take(np) {
-                    let cg = replica_base[edge.to.0] + r;
-                    let q = new_queue(1);
-                    inputs[cg].push(InputPort {
-                        queue: Arc::clone(&q),
-                        producer_bytes,
-                    });
-                    // One queue: the router degenerates to "target 0".
-                    outputs.push(OutputEdge::new(
-                        lei,
-                        edge.stream.clone(),
-                        Partitioner::new(edge.partitioning, 1),
-                        vec![q],
-                        vec![cg],
-                        &pools[edge.from.0][r],
-                    ));
-                }
-                continue;
-            }
-            for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate().take(np) {
-                let mut queues = Vec::with_capacity(nc);
-                let mut consumers = Vec::with_capacity(nc);
-                for c in 0..nc {
-                    let cg = replica_base[edge.to.0] + c;
-                    // One producer replica, one consumer replica: the SPSC
-                    // fabric's contract holds by construction.
-                    let q = new_queue(1);
-                    inputs[cg].push(InputPort {
-                        queue: Arc::clone(&q),
-                        producer_bytes,
-                    });
-                    queues.push(q);
-                    consumers.push(cg);
-                }
+                inputs[base].push(Arc::clone(&q));
+                q
+            });
+            for (r, outputs) in op_outputs[edge.from.0].iter_mut().enumerate() {
+                // Which consumer replicas producer replica `r` feeds. Local
+                // forwarding at equal counts pins producer r to consumer r;
+                // at unequal counts the pairing is meaningless and Forward
+                // spreads over every consumer like Shuffle — the model's
+                // even-spread, work-conserving treatment is then exact.
+                let targets = match edge.partitioning {
+                    Partitioning::Global => 0..1,
+                    Partitioning::Forward if np == nc => r..r + 1,
+                    _ => 0..nc,
+                };
+                let consumers: Vec<usize> = targets.map(|c| base + c).collect();
+                let queues = consumers
+                    .iter()
+                    .map(|&cg| match &funnel {
+                        Some(q) => Arc::clone(q),
+                        None => {
+                            let q = new_queue(1);
+                            inputs[cg].push(Arc::clone(&q));
+                            q
+                        }
+                    })
+                    .collect();
                 // Skew-aware KeyBy re-weighting: the controller's measured
-                // per-replica load lands here as a weighted slot table.
-                let mut partitioner = Partitioner::new(edge.partitioning, nc);
+                // per-replica load lands here as a weighted slot table
+                // (other strategies ignore weights).
+                let mut partitioner = Partitioner::new(edge.partitioning, consumers.len());
                 if let Some(w) = self.keyby_weights.get(&edge.to.0) {
                     partitioner = partitioner.with_weights(w);
                 }
@@ -993,7 +915,7 @@ impl Engine {
                     global: s.global,
                     op_index: s.op_index,
                     replica: s.ctx.replica,
-                    inputs: s.ports.iter().map(|p| Arc::clone(&p.queue)).collect(),
+                    inputs: s.ports.clone(),
                     outputs: s.collector.queue_handles(),
                 })
                 .collect();
@@ -1228,9 +1150,14 @@ impl EngineHandle {
 /// unplaced default to socket 0.
 pub fn plan_replica_sockets(topology: &LogicalTopology, plan: &ExecutionPlan) -> Vec<SocketId> {
     let graph = ExecutionGraph::new(topology, &plan.replication, plan.compress_ratio);
+    replica_sockets_of(&graph, plan)
+}
+
+/// [`plan_replica_sockets`] over an already-built execution graph of `plan`.
+fn replica_sockets_of(graph: &ExecutionGraph<'_>, plan: &ExecutionPlan) -> Vec<SocketId> {
     let mut replica_socket = vec![SocketId(0); plan.total_replicas()];
     let mut base = 0usize;
-    for (op, _) in topology.operators() {
+    for (op, _) in graph.topology().operators() {
         for &v in graph.vertices_of(op) {
             let socket = plan.placement.socket_of(v).unwrap_or(SocketId(0));
             for r in 0..graph.vertex(v).multiplicity {
@@ -1446,7 +1373,7 @@ pub(crate) fn emergency_retire(
     replica: usize,
     global: usize,
     hosted_ops: &[usize],
-    input_queues: &[Arc<ReplicaQueue<JumboTuple>>],
+    input_queues: &[InputPort],
     message: String,
 ) {
     shared.record_fault(op_index, replica, FaultKind::ExecutorLoss, message, false);
@@ -1512,6 +1439,15 @@ pub(crate) fn merge_and_retire(
 /// ring's index publish, small enough to keep round-robin port fairness.
 pub(crate) const POP_BATCH: usize = 4;
 
+/// Emit-side flush cadence, in operator invocations: a task ships its
+/// partial batches at least this often, so a slow stream cannot sit in a
+/// builder for a whole slice.
+pub(crate) const FLUSH_EVERY: u32 = 256;
+
+/// Park interval ceiling of the spin → yield → park ladder
+/// ([`crate::Backoff`]) idle pool workers wait on.
+const POLL_BACKOFF: Duration = Duration::from_micros(100);
+
 /// Round-robin scan state over a replica's input ports, shared by the poll
 /// loop and the shutdown drain check.
 pub(crate) struct PortCursor {
@@ -1525,27 +1461,28 @@ impl PortCursor {
     }
 
     /// Pop up to `max` jumbos from the first non-empty port at or after the
-    /// cursor. Returns the port index served, advancing the cursor past it.
+    /// cursor, advancing the cursor past it. `false` when every port was
+    /// empty.
     pub(crate) fn poll(
         &mut self,
         ports: &[InputPort],
         out: &mut Vec<JumboTuple>,
         max: usize,
-    ) -> Option<usize> {
+    ) -> bool {
         for off in 0..self.n_ports {
             let idx = (self.next + off) % self.n_ports;
-            if ports[idx].queue.pop_n(out, max) > 0 {
+            if ports[idx].pop_n(out, max) > 0 {
                 self.next = (idx + 1) % self.n_ports;
-                return Some(idx);
+                return true;
             }
         }
-        None
+        false
     }
 
     /// Whether every port is empty (lock-free reads; exact once the
     /// producers have finished).
     pub(crate) fn drained(&self, ports: &[InputPort]) -> bool {
-        ports.iter().all(|p| p.queue.is_empty())
+        ports.iter().all(|p| p.is_empty())
     }
 }
 
@@ -1555,10 +1492,6 @@ pub(crate) struct BoltState {
     pub(crate) bolt: Box<dyn DynBolt>,
     pub(crate) cursor: PortCursor,
     pub(crate) batch: Vec<JumboTuple>,
-    /// Port the jumbos in `batch` were popped from — so a batch interrupted
-    /// by a contained panic resumes against the right fetch-cost bookkeeping
-    /// after a restart.
-    pub(crate) batch_port: usize,
     /// Remainders of panic-interrupted batches — everything after the
     /// quarantined poison tuple, kept as zero-copy slices of the shared
     /// slab: replayed first after a restart, so a contained panic loses
@@ -1574,7 +1507,6 @@ impl BoltState {
             bolt,
             cursor: PortCursor::new(n_ports),
             batch: Vec::with_capacity(POP_BATCH),
-            batch_port: 0,
             pending: Vec::new(),
             sink_local: (kind == OperatorKind::Sink).then(SinkLocal::default),
             since_flush: 0,
@@ -1582,9 +1514,9 @@ impl BoltState {
     }
 }
 
-/// Consume the jumbos sitting in `state.batch` (popped from
-/// `ports[state.batch_port]`): charge fetch costs, execute the bolt under
-/// a panic guard, record sink metrics, and flush on the configured cadence.
+/// Consume the jumbos sitting in `state.batch`: execute the bolt under a
+/// panic guard, record sink metrics, and flush on the [`FLUSH_EVERY`]
+/// cadence.
 ///
 /// A panic inside `execute` returns `Err` with the rendered payload after
 /// quarantining exactly the poison tuple: everything executed before it is
@@ -1593,29 +1525,12 @@ impl BoltState {
 /// jumbos stay in `state.batch`.
 pub(crate) fn consume_batch(
     state: &mut BoltState,
-    ports: &[InputPort],
     collector: &mut Collector,
     op_index: usize,
     shared: &EngineShared,
 ) -> Result<(), String> {
-    let producer_bytes = ports[state.batch_port].producer_bytes;
     while !state.batch.is_empty() {
         let jumbo = state.batch.remove(0);
-        // Injected virtual-NUMA fetch penalty (Formula 2). The producing
-        // replica is read off the jumbo header, since fan-in (MPSC) ports
-        // interleave several producers.
-        if let Some(p) = &shared.config.numa_penalty {
-            let ns = p.fetch_ns(
-                jumbo.producer,
-                collector.replica(),
-                producer_bytes,
-                jumbo.len(),
-            );
-            spin_ns(ns);
-        }
-        if shared.config.extra_cost_ns_per_tuple > 0 {
-            spin_ns(shared.config.extra_cost_ns_per_tuple * jumbo.len() as u64);
-        }
         let total = jumbo.len();
         let now_ns = if state.sink_local.is_some() {
             shared.clock.now_ns()
@@ -1627,8 +1542,7 @@ pub(crate) fn consume_batch(
         let batch = jumbo.batch;
         let cursor = BatchCursor::new(&batch);
         let bolt = &mut state.bolt;
-        // Service-time instrumentation brackets only the consume call (the
-        // injected NUMA spin above is modelled separately as `Tf`): one
+        // Service-time instrumentation brackets the consume call: one
         // clock pair per jumbo, amortized over the whole batch.
         let busy_start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| bolt.consume(&cursor, collector)));
@@ -1661,7 +1575,7 @@ pub(crate) fn consume_batch(
                 shared.replica_tuples[collector.replica()]
                     .fetch_add(total as u64, Ordering::Relaxed);
                 state.since_flush += 1;
-                if state.since_flush >= shared.config.flush_every {
+                if state.since_flush >= FLUSH_EVERY {
                     collector.flush_all();
                     state.since_flush = 0;
                 }
@@ -1736,18 +1650,6 @@ pub(crate) fn replay_pending(
         }
     }
     Ok(())
-}
-
-/// Busy-wait for approximately `ns` nanoseconds.
-fn spin_ns(ns: u64) {
-    if ns == 0 {
-        return;
-    }
-    let start = Instant::now();
-    let target = Duration::from_nanos(ns);
-    while start.elapsed() < target {
-        std::hint::spin_loop();
-    }
 }
 
 #[cfg(test)]
@@ -1843,7 +1745,7 @@ mod tests {
         // One worker drives the whole pipeline through tiny queues: every
         // producer task hits back-pressure with nobody else to drain it.
         // Non-blocking flushes + task yield must keep the pool live (a
-        // blocking push here would deadlock the lone worker forever).
+        // push that waited here would deadlock the lone worker forever).
         let config = EngineConfig::builder()
             .queue_capacity(2)
             .jumbo_size(8)
@@ -1938,38 +1840,73 @@ mod tests {
         assert_eq!(report.sink_events, 600);
     }
 
+    /// A `[1, 1, 1]` plan for `app` with operator `i` on `sockets[i]`.
+    fn placed_plan(sockets: [usize; 3]) -> ExecutionPlan {
+        let mut placement = brisk_dag::Placement::empty(3);
+        for (v, &s) in sockets.iter().enumerate() {
+            placement.place(brisk_dag::VertexId(v), SocketId(s));
+        }
+        ExecutionPlan {
+            replication: vec![1, 1, 1],
+            compress_ratio: 1,
+            placement,
+        }
+    }
+
     #[test]
-    fn numa_penalty_slows_remote_plans() {
+    fn cross_socket_placement_costs_no_wall_time_and_still_splits_fusion() {
         // Same app, same replication; one plan collocated, one split across
-        // virtual sockets with a large latency. The remote plan must be
-        // measurably slower.
+        // the sockets of a machine whose one-hop latency is a millisecond.
+        // The engine runs on this host, so the split costs no wall time
+        // (emulating the machine would spin ≥ 6 s on the 6000 crossings of
+        // the x→k edge alone); what the placement does decide is fusion.
         let machine = brisk_numa::MachineBuilder::new("virt")
             .sockets(2)
             .cores_per_socket(8)
             .clock_ghz(1.0)
             .local_latency_ns(50.0)
-            .one_hop_latency_ns(20000.0) // exaggerated for test signal
-            .max_hop_latency_ns(20000.0)
+            .one_hop_latency_ns(1e6)
+            .max_hop_latency_ns(1e6)
             .build();
-        let mk_engine = |sockets: [usize; 3]| {
-            let penalty = NumaPenalty {
-                machine: machine.clone(),
-                replica_socket: sockets.iter().map(|&s| SocketId(s)).collect(),
-                scale: 1.0,
-            };
-            let config = EngineConfig::builder().numa_penalty(penalty).build();
-            Engine::new(app(3000), vec![1, 1, 1], config).expect("valid engine")
+        let run = |sockets: [usize; 3]| {
+            let plan = placed_plan(sockets);
+            Engine::with_plan(app(3000), &plan, &machine, EngineConfig::default())
+                .expect("valid engine")
+                .run_until_events(6000, Duration::from_secs(30))
         };
-        let local = mk_engine([0, 0, 0]).run_until_events(6000, Duration::from_secs(30));
-        let remote = mk_engine([0, 1, 0]).run_until_events(6000, Duration::from_secs(30));
+        let local = run([0, 0, 0]);
+        let split = run([0, 1, 0]);
         assert_eq!(local.sink_events, 6000);
-        assert_eq!(remote.sink_events, 6000);
+        assert_eq!(split.sink_events, 6000);
         assert!(
-            remote.elapsed > local.elapsed,
-            "remote {:?} should exceed local {:?}",
-            remote.elapsed,
-            local.elapsed
+            split.elapsed < Duration::from_secs(3),
+            "a cross-socket plan must not sleep, took {:?}",
+            split.elapsed
         );
+        assert_eq!(total_pushes(&local), 0, "collocated chain fuses fully");
+        assert!(
+            split.operator(0).queue_pushes > 0 && split.operator(1).queue_pushes > 0,
+            "both crossing edges stay queued"
+        );
+    }
+
+    #[test]
+    fn with_plan_rejects_a_plan_for_a_bigger_machine() {
+        let machine = brisk_numa::MachineBuilder::new("small")
+            .sockets(2)
+            .cores_per_socket(8)
+            .clock_ghz(1.0)
+            .build();
+        let config = EngineConfig::default();
+        let err = Engine::with_plan(app(10), &placed_plan([0, 3, 0]), &machine, config.clone())
+            .err()
+            .expect("socket 3 does not exist on a 2-socket machine");
+        assert!(err.contains("socket 3"), "{err}");
+        // A placement that does not cover the plan's graph is refused too,
+        // instead of indexing out of range.
+        let mut short = placed_plan([0, 0, 0]);
+        short.placement = brisk_dag::Placement::empty(2);
+        assert!(Engine::with_plan(app(10), &short, &machine, config).is_err());
     }
 
     #[test]
@@ -2005,8 +1942,8 @@ mod tests {
         let engine =
             Engine::with_plan(app, &plan, &machine, EngineConfig::default()).expect("valid engine");
         assert_eq!(engine.replica_sockets(), Some(expected.as_slice()));
-        // The mapping is what the injected NUMA penalty charges: run it to
-        // make sure the wired engine still delivers everything (two spout
+        // The mapping is what placement-aware fusion reads: run it to make
+        // sure the wired engine still delivers everything (two spout
         // replicas x 10 inputs, doubled by the bolt).
         let report = engine.run_until_events(u64::MAX, Duration::from_secs(20));
         assert_eq!(report.sink_events, 40);

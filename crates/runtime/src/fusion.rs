@@ -3,13 +3,13 @@
 //! When a [`brisk_dag::FusionPlan`] collapses a 1:1 collocated
 //! producer→consumer edge, the consumer stops being an executor of its own:
 //! its operator instance moves *into the producer's task* as a
-//! [`FusedTarget`] attached to the producer's [`Collector`]. An emit on a
+//! `FusedTarget` attached to the producer's [`Collector`]. An emit on a
 //! fused stream then calls the downstream operator's `execute` directly —
-//! no jumbo accumulation, no queue push/pop, no poll/back-off loop, no
-//! fetch-cost injection — while the downstream operator keeps its **own**
-//! collector for everything it emits, so chains compose (a fused bolt can
-//! itself host further fused targets) and unfused downstream edges keep
-//! their normal queue wiring.
+//! no jumbo accumulation, no queue push/pop, no poll/back-off loop —
+//! while the downstream operator keeps its **own** collector for
+//! everything it emits, so chains compose (a fused bolt can itself host
+//! further fused targets) and unfused downstream edges keep their normal
+//! queue wiring.
 //!
 //! Accounting stays per logical operator: each target tracks the tuples it
 //! consumed inline and (for sinks) its latency histogram; the engine merges

@@ -38,8 +38,8 @@
 //!   single-replica chains, equal-count `Forward` edges, aligned KeyBy —
 //!   collapse into host executors that run the downstream operator
 //!   inline, one instance per replica pair, in the producer's task: no
-//!   jumbo batching, queue crossing, poll loop, or fetch-cost injection
-//!   on fused edges ([`EngineConfig::fusion`], default on).
+//!   jumbo batching, queue crossing or poll loop on fused edges
+//!   ([`EngineConfig::fusion`], default on).
 //!
 //! * **One executor** ([`scheduler`]): replicas run as *tasks* multiplexed
 //!   onto a fixed pool of workers through work-stealing run queues with
@@ -69,10 +69,12 @@
 //!   ([`Engine::set_keyby_weights`]) rides the same migration path.
 //!
 //! The engine executes a [`brisk_dag::LogicalTopology`] under a
-//! [`brisk_dag::ExecutionPlan`]; socket placement is honoured as bookkeeping
-//! (and, optionally, as an injected NUMA fetch delay via
-//! [`EngineConfig::numa_penalty`]) so that plan shapes remain meaningful on
-//! development hosts that lack real multi-socket hardware.
+//! [`brisk_dag::ExecutionPlan`] on the host it is started on. The plan's
+//! socket placement is kept per replica ([`Engine::replica_sockets`]) and
+//! decides which edges fuse — only collocated pairs may — and nothing else:
+//! the engine does not emulate the plan's machine. What a remote fetch
+//! costs there (Formula 2) is priced by `brisk_model` and charged by
+//! `brisk_sim`.
 #![warn(missing_docs)]
 
 pub mod batch;
@@ -95,7 +97,7 @@ pub use drift::DriftPlan;
 pub use elastic::{ElasticEngine, ElasticOptions, ElasticReport};
 pub use engine::{
     plan_replica_sockets, Engine, EngineConfig, EngineConfigBuilder, EngineHandle, HarvestedState,
-    NumaPenalty, OpStats, ReplicaRate, RunLimit, RunReport,
+    OpStats, ReplicaRate, RunLimit, RunReport,
 };
 pub use faultinject::{silence_injected_panics, FaultPlan, INJECTED_PANIC_PREFIX};
 pub use mpsc::MpscQueue;

@@ -15,31 +15,29 @@
 //!   slot is never read half-written. On wrap, the consumer re-arms the
 //!   slot at `ticket + ring`, handing it back to the producer side.
 //! * **Cache-line isolation**: the shared tail and the consumer's head
-//!   live on separate 128-byte lines ([`CachePadded`], shared with
+//!   live on separate 128-byte lines (`CachePadded`, shared with
 //!   `spsc.rs`), so consumer progress does not invalidate the producers'
 //!   CAS line and vice versa.
 //!
 //! Ordering guarantees: globally, items pop in ticket order (the order
 //! producers won their CAS); per producer, pushes pop in that producer's
 //! program order (FIFO per producer). Capacity is an exact back-pressure
-//! bound: `push` blocks on the same spin → yield → park ladder
-//! ([`Backoff`]) as the SPSC ring.
+//! bound: a full ring refuses `try_push` with [`PushError::Full`], as the
+//! SPSC ring does, and nothing ever waits.
 //!
-//! Close/drain semantics match the SPSC ring's: `close` fails subsequent
-//! pushes and wakes blocked producers within one park interval; items
-//! already in the ring remain poppable so shutdown drains every in-flight
-//! tuple.
+//! Close/drain semantics match the SPSC ring's: after `close` every push is
+//! refused with [`PushError::Closed`]; items already in the ring remain
+//! poppable so shutdown drains every in-flight tuple.
 //!
 //! The single-consumer half of the contract still holds: at most one
 //! thread may pop at a time (debug builds carry the same best-effort
 //! tripwire as the SPSC ring). `len`, `is_empty`, `close` and `is_closed`
 //! are safe from any thread.
 
-use crate::spsc::{Backoff, BackoffProfile, CachePadded, PushError};
+use crate::spsc::{CachePadded, PushError};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 /// One ring slot: the Vyukov sequence plus the payload cell.
 struct Slot<T> {
@@ -59,8 +57,6 @@ pub struct MpscQueue<T> {
     mask: usize,
     /// User-visible capacity (exact back-pressure bound, ≤ ring size).
     capacity: usize,
-    /// Wait-ladder shape for blocking-push waits.
-    profile: BackoffProfile,
     /// Next ticket to claim; CAS-incremented by producers.
     tail: CachePadded<AtomicUsize>,
     /// Next ticket to pop; written only by the consumer.
@@ -79,23 +75,11 @@ unsafe impl<T: Send> Send for MpscQueue<T> {}
 unsafe impl<T: Send> Sync for MpscQueue<T> {}
 
 impl<T> MpscQueue<T> {
-    /// Ring holding at most `capacity` items, with the default
-    /// blocking-push park interval.
+    /// Ring holding at most `capacity` items.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> MpscQueue<T> {
-        MpscQueue::with_profile(
-            capacity,
-            BackoffProfile::dedicated(Duration::from_micros(100)),
-        )
-    }
-
-    /// Ring with an explicit wait-ladder shape for blocking-push waits.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_profile(capacity: usize, profile: BackoffProfile) -> MpscQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
         let ring = capacity.next_power_of_two();
         let slots = (0..ring)
@@ -109,7 +93,6 @@ impl<T> MpscQueue<T> {
             slots,
             mask: ring - 1,
             capacity,
-            profile,
             tail: CachePadded(AtomicUsize::new(0)),
             head: CachePadded(AtomicUsize::new(0)),
             closed: AtomicBool::new(false),
@@ -123,7 +106,9 @@ impl<T> MpscQueue<T> {
         self.capacity
     }
 
-    /// Non-blocking push. Safe from any number of threads concurrently.
+    /// Push, or hand the item back: [`PushError::Full`] when the ring is at
+    /// capacity, [`PushError::Closed`] after [`MpscQueue::close`]. Never
+    /// waits. Safe from any number of threads concurrently.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         if self.closed.load(Ordering::Acquire) {
             return Err(PushError::Closed(item));
@@ -160,68 +145,6 @@ impl<T> MpscQueue<T> {
         // Release store below.
         unsafe { (*slot.value.get()).write(item) };
         slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Blocking push: walks the spin → yield → park ladder while the ring
-    /// is full (back-pressure). Returns `Err(item)` if the queue is closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        self.push_tracked(item).map(|_| ())
-    }
-
-    /// Blocking push that additionally reports whether it found the ring
-    /// full and had to wait (`Ok(true)`) — the engine's queue-pressure
-    /// signal.
-    pub fn push_tracked(&self, item: T) -> Result<bool, T> {
-        let mut item = match self.try_push(item) {
-            Ok(()) => return Ok(false),
-            Err(PushError::Closed(i)) => return Err(i),
-            Err(PushError::Full(i)) => i,
-        };
-        let mut backoff = Backoff::with_profile(self.profile);
-        loop {
-            backoff.snooze();
-            match self.try_push(item) {
-                Ok(()) => return Ok(true),
-                Err(PushError::Closed(i)) => return Err(i),
-                Err(PushError::Full(i)) => item = i,
-            }
-        }
-    }
-
-    /// Push with a deadline computed before any waiting. `Err(item)` on
-    /// close *or* timeout.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), T> {
-        let deadline = Instant::now() + timeout;
-        let mut item = item;
-        let mut backoff = Backoff::with_profile(self.profile);
-        loop {
-            match self.try_push(item) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Closed(i)) => return Err(i),
-                Err(PushError::Full(i)) => {
-                    if Instant::now() >= deadline {
-                        return Err(i);
-                    }
-                    item = i;
-                    backoff.snooze();
-                }
-            }
-        }
-    }
-
-    /// Blocking batch push. The batch is claimed item by item (other
-    /// producers may interleave), so only per-producer FIFO holds across a
-    /// batch. `Err(remaining)` if the queue closes mid-batch.
-    pub fn push_n(&self, items: Vec<T>) -> Result<(), Vec<T>> {
-        let mut iter = items.into_iter();
-        while let Some(item) = iter.next() {
-            if let Err(rest) = self.push(item) {
-                let mut remaining = vec![rest];
-                remaining.extend(iter);
-                return Err(remaining);
-            }
-        }
         Ok(())
     }
 
@@ -289,9 +212,8 @@ impl<T> MpscQueue<T> {
         head == tail
     }
 
-    /// Close the queue: subsequent pushes fail; blocked producers observe
-    /// the flag within one park interval. Queued items remain poppable
-    /// (drain-on-shutdown).
+    /// Close the queue: subsequent pushes fail with [`PushError::Closed`].
+    /// Queued items remain poppable (drain-on-shutdown).
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
     }
@@ -349,7 +271,7 @@ mod tests {
     fn fifo_order_single_producer() {
         let q = MpscQueue::new(8);
         for i in 0..5 {
-            q.push(i).expect("open");
+            q.try_push(i).expect("room");
         }
         for i in 0..5 {
             assert_eq!(q.try_pop(), Some(i));
@@ -371,31 +293,25 @@ mod tests {
     }
 
     #[test]
-    fn close_wakes_blocked_producer_and_preserves_drain() {
-        let q = Arc::new(MpscQueue::new(1));
-        q.push(0u8).expect("open");
-        let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.push(1));
-        std::thread::sleep(Duration::from_millis(30));
-        q.close();
-        assert!(handle.join().expect("no panic").is_err());
-        assert_eq!(q.try_pop(), Some(0));
-        assert!(q.push(2).is_err());
-    }
-
-    #[test]
-    fn push_timeout_expires() {
+    fn close_refuses_pushes_and_preserves_drain() {
+        // Full *and* closed: the refusal must say Closed (permanent), not
+        // Full (retry), or a producer would poll a dead queue forever.
         let q = MpscQueue::new(1);
-        q.push(1u8).expect("open");
-        let t0 = Instant::now();
-        assert!(q.push_timeout(2, Duration::from_millis(20)).is_err());
-        assert!(t0.elapsed() >= Duration::from_millis(19));
+        q.try_push(0u8).expect("room");
+        q.close();
+        assert!(q.is_closed());
+        assert!(matches!(q.try_push(1), Err(PushError::Closed(1))));
+        assert_eq!(q.try_pop(), Some(0));
+        assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
+        assert_eq!(q.try_pop(), None);
     }
 
     #[test]
-    fn batch_ops_roundtrip() {
+    fn batch_pop_roundtrip() {
         let q = MpscQueue::new(16);
-        q.push_n((0..10).collect()).expect("open");
+        for i in 0..10 {
+            q.try_push(i).expect("room");
+        }
         assert_eq!(q.len(), 10);
         let mut out = Vec::new();
         assert_eq!(q.pop_n(&mut out, 4), 4);
@@ -410,7 +326,7 @@ mod tests {
     fn wraparound_many_times() {
         let q = MpscQueue::new(4);
         for round in 0..1000u64 {
-            q.push(round).expect("open");
+            q.try_push(round).expect("room");
             assert_eq!(q.try_pop(), Some(round));
         }
         assert!(q.is_empty());
@@ -421,7 +337,7 @@ mod tests {
         let q = MpscQueue::new(8);
         let marker = Arc::new(());
         for _ in 0..5 {
-            q.push(Arc::clone(&marker)).expect("open");
+            q.try_push(Arc::clone(&marker)).expect("room");
         }
         q.try_pop();
         drop(q);
@@ -438,7 +354,12 @@ mod tests {
             let q = Arc::clone(&q);
             handles.push(std::thread::spawn(move || {
                 for i in 0..per_producer {
-                    q.push((p, i)).expect("open");
+                    // Full: yield and retry, as a back-pressured task does.
+                    let mut item = (p, i);
+                    while let Err(PushError::Full(back)) = q.try_push(item) {
+                        item = back;
+                        std::thread::yield_now();
+                    }
                 }
             }));
         }

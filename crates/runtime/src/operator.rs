@@ -294,8 +294,8 @@ impl OutputEdge {
 /// when operator fusion is active, runs fused-away consumers inline.
 ///
 /// Pushes never block: a full destination queue hands the jumbo back, it
-/// parks in the edge's sealed backlog, and the collector reports
-/// [`Collector::is_backpressured`] so the owning task can yield its worker
+/// parks in the edge's sealed backlog, and the collector reports itself
+/// back-pressured so the owning task can yield its worker
 /// instead of stalling the whole pool.
 pub struct Collector {
     producer_replica: usize,

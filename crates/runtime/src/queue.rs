@@ -3,25 +3,22 @@
 //! Every producer→consumer replica pair owns one queue. A full queue
 //! refuses `try_push` — the engine's tasks then yield their worker, and
 //! that refusal *is* the back-pressure mechanism that ultimately slows the
-//! spout to the system's sustainable rate (the blocking `push*` family
-//! waits instead, for callers with a thread to spare). `pop` never blocks;
-//! `close` fails subsequent pushes and wakes blocked producers while
-//! queued items stay poppable, so shutdown drains every in-flight tuple.
+//! spout to the system's sustainable rate. Nothing blocks, push or pop;
+//! `close` fails subsequent pushes while queued items stay poppable, so
+//! shutdown drains every in-flight tuple.
 //!
 //! Two lock-free rings implement these semantics behind [`ReplicaQueue`].
 //! Which one a queue gets is decided at wiring time from its producer
 //! count ([`QueueKind::for_producers`]) — it is not a user knob:
 //!
-//! * [`SpscQueue`](crate::spsc::SpscQueue) — the default: a
-//!   cache-conscious ring exploiting the engine's one-producer /
-//!   one-consumer wiring (see `crate::spsc` for the design).
-//! * [`MpscQueue`](crate::mpsc::MpscQueue) — the CAS-claimed fan-in ring
-//!   for queues with more than one pushing task, so an `SpscQueue` is
-//!   never shared between producers.
+//! * [`SpscQueue`] — the default: a cache-conscious ring exploiting the
+//!   engine's one-producer / one-consumer wiring (see `crate::spsc` for
+//!   the design).
+//! * [`MpscQueue`] — the CAS-claimed fan-in ring for queues with more than
+//!   one pushing task, so an `SpscQueue` is never shared between producers.
 
 use crate::mpsc::MpscQueue;
 use crate::spsc::{PushError, SpscQueue};
-use std::time::Duration;
 
 /// Which ring implements a queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -100,48 +97,14 @@ impl<T> ReplicaQueue<T> {
         }
     }
 
-    /// Blocking push (back-pressure). `Err(item)` if closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        match self {
-            ReplicaQueue::Spsc(q) => q.push(item),
-            ReplicaQueue::Mpsc(q) => q.push(item),
-        }
-    }
-
-    /// Blocking push that reports whether it stalled on a full queue
-    /// (`Ok(true)`). `Err(item)` if closed.
-    pub fn push_tracked(&self, item: T) -> Result<bool, T> {
-        match self {
-            ReplicaQueue::Spsc(q) => q.push_tracked(item),
-            ReplicaQueue::Mpsc(q) => q.push_tracked(item),
-        }
-    }
-
-    /// Non-blocking push: `Err(PushError::Full)` hands the item back when
-    /// the queue is at capacity instead of waiting (the engine's flush
-    /// path — a task yields its worker on back-pressure rather than
-    /// blocking it).
+    /// Push, or hand the item back: `Err(PushError::Full)` when the queue
+    /// is at capacity (a task then yields its worker and retries — the
+    /// engine's flush path), `Err(PushError::Closed)` after
+    /// [`ReplicaQueue::close`]. Never waits.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         match self {
             ReplicaQueue::Spsc(q) => q.try_push(item),
             ReplicaQueue::Mpsc(q) => q.try_push(item),
-        }
-    }
-
-    /// Push with a deadline computed before any waiting. `Err(item)` on
-    /// close or timeout.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), T> {
-        match self {
-            ReplicaQueue::Spsc(q) => q.push_timeout(item, timeout),
-            ReplicaQueue::Mpsc(q) => q.push_timeout(item, timeout),
-        }
-    }
-
-    /// Blocking batch push. `Err(remaining)` if the queue closes mid-batch.
-    pub fn push_n(&self, items: Vec<T>) -> Result<(), Vec<T>> {
-        match self {
-            ReplicaQueue::Spsc(q) => q.push_n(items),
-            ReplicaQueue::Mpsc(q) => q.push_n(items),
         }
     }
 
@@ -177,7 +140,7 @@ impl<T> ReplicaQueue<T> {
         }
     }
 
-    /// Close the queue: subsequent pushes fail, blocked producers wake,
+    /// Close the queue: subsequent pushes fail with `PushError::Closed`,
     /// queued items remain poppable (drain-on-shutdown).
     pub fn close(&self) {
         match self {
@@ -198,7 +161,6 @@ impl<T> ReplicaQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn replica_queue_dispatches_both_rings() {
@@ -206,16 +168,20 @@ mod tests {
             let q: ReplicaQueue<u32> = ReplicaQueue::new(kind, 4);
             assert_eq!(q.kind(), kind);
             assert_eq!(q.capacity(), 4);
-            q.push(7).expect("open");
+            q.try_push(7).expect("room");
             assert_eq!(q.len(), 1);
             assert!(!q.is_empty());
             assert_eq!(q.try_pop(), Some(7));
-            q.push_n(vec![1, 2, 3]).expect("open");
+            for i in 1..=4 {
+                q.try_push(i).expect("room");
+            }
+            assert!(matches!(q.try_push(5), Err(PushError::Full(5))), "{kind}");
             let mut out = Vec::new();
-            assert_eq!(q.pop_n(&mut out, 8), 3);
+            assert_eq!(q.pop_n(&mut out, 8), 4);
+            assert_eq!(out, [1, 2, 3, 4]);
             q.close();
             assert!(q.is_closed());
-            assert!(q.push(9).is_err());
+            assert!(matches!(q.try_push(9), Err(PushError::Closed(9))), "{kind}");
         }
         assert_eq!(QueueKind::default(), QueueKind::Spsc);
     }
@@ -225,25 +191,5 @@ mod tests {
         assert_eq!(QueueKind::Spsc.for_producers(1), QueueKind::Spsc);
         assert_eq!(QueueKind::Spsc.for_producers(4), QueueKind::Mpsc);
         assert_eq!(QueueKind::Mpsc.for_producers(1), QueueKind::Mpsc);
-    }
-
-    #[test]
-    fn push_tracked_reports_stalls_on_both_rings() {
-        for kind in [QueueKind::Spsc, QueueKind::Mpsc] {
-            let q: Arc<ReplicaQueue<u32>> = Arc::new(ReplicaQueue::new(kind, 1));
-            // Uncontended push: no stall.
-            assert!(!q.push_tracked(1).expect("open"), "{kind}");
-            // Queue full: the push must block until the consumer drains,
-            // and report that it stalled.
-            let q2 = Arc::clone(&q);
-            let handle = std::thread::spawn(move || q2.push_tracked(2));
-            std::thread::sleep(Duration::from_millis(30));
-            assert_eq!(q.try_pop(), Some(1));
-            assert!(
-                handle.join().expect("no panic").expect("open"),
-                "{kind}: full-queue push should report a stall"
-            );
-            assert_eq!(q.try_pop(), Some(2));
-        }
     }
 }

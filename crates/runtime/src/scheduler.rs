@@ -29,7 +29,7 @@
 //! slice keeps one hot replica from starving the rest of a worker's run
 //! queue.
 //!
-//! Queue pushes wake the consumer's task through the [`WakeHub`]: a
+//! Queue pushes wake the consumer's task through the `WakeHub`: a
 //! compare-and-swap from `IDLE` to `READY` enqueues the task on the shared
 //! injector, so only genuinely sleeping tasks pay the wake cost. The
 //! classic lost-wakeup race (producer pushes while the consumer's slice is
@@ -75,14 +75,12 @@
 
 use crate::engine::{
     consume_batch, emergency_retire, merge_and_retire, replay_pending, BoltState, EngineShared,
-    InputPort, TaskSeed, POP_BATCH,
+    InputPort, TaskSeed, FLUSH_EVERY, POP_BATCH,
 };
 use crate::fusion::SinkLocal;
 use crate::operator::{BoltContext, Collector, DynSpout, OperatorRuntime, SpoutStatus};
-use crate::queue::ReplicaQueue;
 use crate::spsc::Backoff;
 use crate::supervise::{panic_message, FaultKind};
-use crate::tuple::JumboTuple;
 use brisk_dag::OperatorKind;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -193,7 +191,7 @@ impl WakeHub {
 /// Sleep-path recheck data, kept outside the task slot so the lost-wakeup
 /// guard can inspect a task's inputs *after* returning it to its slot.
 struct TaskMeta {
-    queues: Vec<Arc<ReplicaQueue<JumboTuple>>>,
+    queues: Vec<InputPort>,
     producer_ops: Vec<usize>,
 }
 
@@ -332,7 +330,7 @@ fn run_spout_slice(
                 shared.replica_tuples[collector.replica()].fetch_add(n as u64, Ordering::Relaxed);
                 step = Step::Yield(true);
                 *since_flush += 1;
-                if *since_flush >= shared.config.flush_every {
+                if *since_flush >= FLUSH_EVERY {
                     collector.flush_all();
                     *since_flush = 0;
                 }
@@ -371,7 +369,7 @@ fn run_bolt_slice(
     let mut progressed = false;
     if !state.batch.is_empty() {
         progressed = true;
-        if let Err(m) = consume_batch(state, ports, collector, op_index, shared) {
+        if let Err(m) = consume_batch(state, collector, op_index, shared) {
             return Step::Fault(m);
         }
         if collector.is_backpressured() {
@@ -379,39 +377,35 @@ fn run_bolt_slice(
         }
     }
     for _ in 0..BOLT_SLICE_POLLS {
-        match state.cursor.poll(ports, &mut state.batch, POP_BATCH) {
-            Some(port_idx) => {
-                progressed = true;
-                state.batch_port = port_idx;
-                if let Err(m) = consume_batch(state, ports, collector, op_index, shared) {
-                    return Step::Fault(m);
-                }
-                if collector.is_backpressured() {
-                    break;
-                }
+        if state.cursor.poll(ports, &mut state.batch, POP_BATCH) {
+            progressed = true;
+            if let Err(m) = consume_batch(state, collector, op_index, shared) {
+                return Step::Fault(m);
             }
-            None => {
-                collector.flush_all();
-                state.since_flush = 0;
-                if collector.is_backpressured() {
-                    // Consumers never signal "space freed", so a
-                    // stalled task must poll-retry, not sleep.
-                    break;
-                }
-                let producers_done = producer_ops
-                    .iter()
-                    .all(|&p| shared.op_done[p].load(Ordering::Acquire));
-                if producers_done {
-                    if state.cursor.drained(ports) {
-                        return Step::Finish;
-                    }
-                    // A straggler jumbo is still in flight: stay
-                    // runnable and drain it next slice.
-                } else if !progressed {
-                    return Step::Sleep;
-                }
+            if collector.is_backpressured() {
                 break;
             }
+        } else {
+            collector.flush_all();
+            state.since_flush = 0;
+            if collector.is_backpressured() {
+                // Consumers never signal "space freed", so a
+                // stalled task must poll-retry, not sleep.
+                break;
+            }
+            let producers_done = producer_ops
+                .iter()
+                .all(|&p| shared.op_done[p].load(Ordering::Acquire));
+            if producers_done {
+                if state.cursor.drained(ports) {
+                    return Step::Finish;
+                }
+                // A straggler jumbo is still in flight: stay
+                // runnable and drain it next slice.
+            } else if !progressed {
+                return Step::Sleep;
+            }
+            break;
         }
     }
     Step::Yield(progressed)
@@ -458,7 +452,7 @@ fn handle_fault(task: &mut Task, message: String, shared: &EngineShared) -> Step
                 false,
             );
             for p in &task.ports {
-                p.queue.close();
+                p.close();
             }
             task.dead = true;
             Step::Finish
@@ -632,7 +626,7 @@ pub(crate) fn spawn_pool(
         let t = seed.global;
         home[t] = at;
         meta[t] = Some(TaskMeta {
-            queues: seed.ports.iter().map(|p| Arc::clone(&p.queue)).collect(),
+            queues: seed.ports.clone(),
             producer_ops: seed.producer_ops.clone(),
         });
         let op = brisk_dag::OperatorId(seed.op_index);
@@ -741,15 +735,13 @@ fn worker_loop(w: usize, pool: &PoolShared, shared: &EngineShared) {
                     Ok(outcome) => outcome,
                     Err(payload) => {
                         let hosted = task.collector.hosted_ops();
-                        let input_queues: Vec<Arc<ReplicaQueue<JumboTuple>>> =
-                            task.ports.iter().map(|p| Arc::clone(&p.queue)).collect();
                         emergency_retire(
                             shared,
                             task.op_index,
                             task.ctx.replica,
                             t,
                             &hosted,
-                            &input_queues,
+                            &task.ports,
                             panic_message(payload.as_ref()),
                         );
                         pool.hub.states[t].store(DONE, Ordering::Release);

@@ -17,11 +17,11 @@
 //!   cached tail. In steady state each side touches only its own line —
 //!   cross-core cache-line bouncing drops to ~one transfer per
 //!   `capacity` operations instead of one per operation.
-//! * **Batch `push_n`/`pop_n`**: one index publish moves a whole group of
-//!   jumbo tuples, amortizing even the single remaining release-store.
-//! * **Hybrid wait strategy** ([`Backoff`]): a blocked producer walks a
-//!   spin → yield → park ladder instead of taking a condvar, preserving
-//!   blocking back-pressure without a lock on the hot path.
+//! * **Batch `pop_n`**: one index publish moves a whole group of jumbo
+//!   tuples, amortizing even the single remaining release-store.
+//! * **Nothing blocks**: a full ring refuses `try_push` with
+//!   [`PushError::Full`] and hands the item back; the engine's tasks yield
+//!   their worker and retry, which is the whole back-pressure mechanism.
 //!
 //! # The SPSC contract
 //!
@@ -37,15 +37,17 @@
 //! nothing. `len`, `is_empty`, `close` and `is_closed` are safe from any
 //! thread.
 //!
-//! Close/drain semantics: `close` fails subsequent pushes and unblocks
-//! waiting producers (they observe the flag within one park interval),
-//! while items already in the ring remain poppable so shutdown drains every
-//! in-flight tuple.
+//! Close/drain semantics: after `close` every push is refused with
+//! [`PushError::Closed`], while items already in the ring remain poppable so
+//! shutdown drains every in-flight tuple.
+//!
+//! The module also holds the spin → yield → park wait ladder ([`Backoff`],
+//! [`BackoffProfile`]) the pool's idle workers wait on.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Pad-and-align wrapper keeping a value on its own cache line (128 bytes
 /// covers the spatial-prefetcher pair on x86 and big.LITTLE lines on arm).
@@ -72,7 +74,7 @@ struct ConsumerSide {
     cached_tail: UnsafeCell<usize>,
 }
 
-/// Why a non-blocking push did not enqueue.
+/// Why a push did not enqueue.
 #[derive(Debug)]
 pub enum PushError<T> {
     /// The ring is at capacity; the item is handed back for retry.
@@ -90,8 +92,6 @@ pub struct SpscQueue<T> {
     mask: usize,
     /// User-visible capacity (back-pressure bound, ≤ ring size).
     capacity: usize,
-    /// Wait-ladder shape for blocking-push waits.
-    profile: BackoffProfile,
     producer: CachePadded<ProducerSide>,
     consumer: CachePadded<ConsumerSide>,
     closed: AtomicBool,
@@ -134,33 +134,11 @@ unsafe impl<T: Send> Send for SpscQueue<T> {}
 unsafe impl<T: Send> Sync for SpscQueue<T> {}
 
 impl<T> SpscQueue<T> {
-    /// Ring holding at most `capacity` items (back-pressure bound), with
-    /// the default blocking-push park interval.
+    /// Ring holding at most `capacity` items (back-pressure bound).
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> SpscQueue<T> {
-        SpscQueue::with_park(capacity, DEFAULT_PARK)
-    }
-
-    /// Ring with an explicit park interval for blocking-push waits — the
-    /// engine passes its `poll_backoff` here so producer wake latency
-    /// under back-pressure is tunable alongside consumer idle latency.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_park(capacity: usize, park: Duration) -> SpscQueue<T> {
-        SpscQueue::with_profile(capacity, BackoffProfile::dedicated(park))
-    }
-
-    /// Ring with an explicit wait-ladder shape ([`BackoffProfile`]) for
-    /// blocking-push waits — the engine passes its oversubscription-aware
-    /// profile here so blocked producers park promptly when replica
-    /// threads outnumber cores.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_profile(capacity: usize, profile: BackoffProfile) -> SpscQueue<T> {
         assert!(capacity > 0, "queue capacity must be positive");
         let ring = capacity.next_power_of_two();
         let slots = (0..ring)
@@ -171,7 +149,6 @@ impl<T> SpscQueue<T> {
             slots,
             mask: ring - 1,
             capacity,
-            profile,
             producer: CachePadded(ProducerSide {
                 tail: AtomicUsize::new(0),
                 cached_head: UnsafeCell::new(0),
@@ -207,7 +184,9 @@ impl<T> SpscQueue<T> {
         free
     }
 
-    /// Non-blocking push. Producer-side only.
+    /// Push, or hand the item back: [`PushError::Full`] when the ring is at
+    /// capacity, [`PushError::Closed`] after [`SpscQueue::close`]. Never
+    /// waits. Producer-side only.
     #[inline]
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         #[cfg(debug_assertions)]
@@ -227,102 +206,6 @@ impl<T> SpscQueue<T> {
             .tail
             .store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
-    }
-
-    /// Blocking push: walks the spin → yield → park ladder while the ring
-    /// is full (back-pressure). Returns `Err(item)` if the queue is closed.
-    /// Producer-side only.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        self.push_tracked(item).map(|_| ())
-    }
-
-    /// Blocking push that additionally reports whether it found the ring
-    /// full and had to wait (`Ok(true)`) — the engine's queue-pressure
-    /// signal, measured inside the push path so the uncontended fast path
-    /// costs nothing extra. Producer-side only.
-    pub fn push_tracked(&self, item: T) -> Result<bool, T> {
-        let mut item = match self.try_push(item) {
-            Ok(()) => return Ok(false),
-            Err(PushError::Closed(i)) => return Err(i),
-            Err(PushError::Full(i)) => i,
-        };
-        let mut backoff = Backoff::with_profile(self.profile);
-        loop {
-            backoff.snooze();
-            match self.try_push(item) {
-                Ok(()) => return Ok(true),
-                Err(PushError::Closed(i)) => return Err(i),
-                Err(PushError::Full(i)) => item = i,
-            }
-        }
-    }
-
-    /// Push with a deadline. `Err(item)` on close *or* timeout. The
-    /// deadline is computed **before** any waiting, so time spent blocked
-    /// on a full ring counts against the caller's budget.
-    /// Producer-side only.
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<(), T> {
-        let deadline = Instant::now() + timeout;
-        let mut item = item;
-        let mut backoff = Backoff::with_profile(self.profile);
-        loop {
-            match self.try_push(item) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Closed(i)) => return Err(i),
-                Err(PushError::Full(i)) => {
-                    if Instant::now() >= deadline {
-                        return Err(i);
-                    }
-                    item = i;
-                    backoff.snooze();
-                }
-            }
-        }
-    }
-
-    /// Blocking batch push: enqueues every item, publishing the tail **once
-    /// per free run** rather than once per item, so a whole jumbo group
-    /// costs a single release store. `Err(remaining)` if the queue closes
-    /// mid-batch. Producer-side only.
-    pub fn push_n(&self, items: Vec<T>) -> Result<(), Vec<T>> {
-        #[cfg(debug_assertions)]
-        let _role = RoleGuard::enter(&self.push_active, "producer");
-        let mut iter = items.into_iter();
-        if iter.len() == 0 {
-            return Ok(());
-        }
-        let mut backoff = Backoff::with_profile(self.profile);
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(iter.collect());
-            }
-            let tail = self.producer.0.tail.load(Ordering::Relaxed);
-            let free = self.free_slots(tail);
-            if free == 0 {
-                backoff.snooze();
-                continue;
-            }
-            let mut wrote = 0usize;
-            while wrote < free {
-                match iter.next() {
-                    // SAFETY: slots [tail, tail+free) are unowned by the
-                    // consumer until the single Release store below.
-                    Some(x) => unsafe {
-                        (*self.slots[tail.wrapping_add(wrote) & self.mask].get()).write(x);
-                        wrote += 1;
-                    },
-                    None => break,
-                }
-            }
-            self.producer
-                .0
-                .tail
-                .store(tail.wrapping_add(wrote), Ordering::Release);
-            if iter.len() == 0 {
-                return Ok(());
-            }
-            backoff.reset();
-        }
     }
 
     /// Items ready to pop as seen by the consumer, refreshing the cached
@@ -400,9 +283,8 @@ impl<T> SpscQueue<T> {
         head == tail
     }
 
-    /// Close the queue: subsequent pushes fail; producers blocked in the
-    /// park rung observe the flag within one park interval. Items already
-    /// queued remain poppable (drain-on-shutdown).
+    /// Close the queue: subsequent pushes fail with [`PushError::Closed`].
+    /// Items already queued remain poppable (drain-on-shutdown).
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
     }
@@ -427,11 +309,6 @@ impl<T> Drop for SpscQueue<T> {
     }
 }
 
-/// Default park interval for waits internal to the queue (blocking push).
-/// Matches the engine's default `poll_backoff` so close-latency stays in
-/// the same ballpark as the old condvar wake.
-const DEFAULT_PARK: Duration = Duration::from_micros(100);
-
 /// Spin rungs of the dedicated-core ladder: 1, 2, 4, 8 `spin_loop` hints.
 const SPIN_STEPS: u32 = 4;
 /// Cumulative boundary step of the dedicated-core ladder: steps
@@ -441,14 +318,12 @@ const YIELD_STEPS: u32 = 8;
 /// Shape of the spin → yield → park ladder: how many rungs are spent
 /// spinning and yielding before a waiter parks.
 ///
-/// On a machine with a core per replica, spinning briefly is the
-/// lowest-latency way to ride out a momentary stall. When the engine runs
-/// **oversubscribed** — more replica threads than hardware cores (the
-/// documented 1-vCPU fabric inversion in the ROADMAP) — every spin burns a
-/// timeslice the *counterpart* thread needs to make progress, so the
-/// oversubscribed profile skips straight past the spin rungs and parks
-/// after a single yield: parked waits donate the CPU instead of fighting
-/// for it.
+/// On a machine with a core per worker, spinning briefly is the
+/// lowest-latency way to ride out a momentary lull. When the pool runs
+/// **oversubscribed** — more workers than hardware cores — every spin burns
+/// a timeslice another worker needs to make progress, so the oversubscribed
+/// profile skips straight past the spin rungs and parks after a single
+/// yield: parked waits donate the CPU instead of fighting for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffProfile {
     /// Rungs spent issuing `spin_loop` hints (1 << step hints per rung).
@@ -497,11 +372,10 @@ impl BackoffProfile {
 
 /// Adaptive spin → yield → park wait ladder.
 ///
-/// Shared by the queue fabrics' blocking pushes and the engine's idle
-/// executors: short waits burn a few pipeline hints (latency ≈ ns), medium
-/// waits donate the timeslice (`yield_now`), and sustained waits park the
-/// thread for a bounded interval so an idle system costs ~0 CPU while still
-/// observing `close`/new-work promptly. Call [`Backoff::reset`] after
+/// What an idle pool worker waits on: short waits burn a few pipeline
+/// hints (latency ≈ ns), medium waits donate the timeslice (`yield_now`),
+/// and sustained waits park the thread for a bounded interval so an idle
+/// system costs ~0 CPU while still observing new work promptly. Call [`Backoff::reset`] after
 /// useful work to drop back to the cheap rungs. The rung layout comes from
 /// a [`BackoffProfile`]; oversubscribed hosts should use
 /// [`BackoffProfile::oversubscribed`] so parked waits dominate.
@@ -555,7 +429,7 @@ mod tests {
     fn fifo_order() {
         let q = SpscQueue::new(8);
         for i in 0..5 {
-            q.push(i).expect("open");
+            q.try_push(i).expect("room");
         }
         for i in 0..5 {
             assert_eq!(q.try_pop(), Some(i));
@@ -577,52 +451,26 @@ mod tests {
     }
 
     #[test]
-    fn push_blocks_until_pop() {
-        let q = Arc::new(SpscQueue::new(1));
-        q.push(0u32).expect("open");
-        let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            q2.push(1).expect("open");
-            t0.elapsed()
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(q.try_pop(), Some(0));
-        let blocked_for = handle.join().expect("no panic");
-        assert!(
-            blocked_for >= Duration::from_millis(30),
-            "producer should have blocked, waited only {blocked_for:?}"
-        );
-        assert_eq!(q.try_pop(), Some(1));
-    }
-
-    #[test]
-    fn push_timeout_expires() {
+    fn close_refuses_pushes_and_preserves_drain() {
+        // Full *and* closed: the refusal must say Closed (permanent), not
+        // Full (retry), or a producer would poll a dead queue forever.
         let q = SpscQueue::new(1);
-        q.push(1u8).expect("open");
-        let t0 = Instant::now();
-        assert!(q.push_timeout(2, Duration::from_millis(20)).is_err());
-        assert!(t0.elapsed() >= Duration::from_millis(19));
-    }
-
-    #[test]
-    fn close_wakes_blocked_producer_and_preserves_drain() {
-        let q = Arc::new(SpscQueue::new(1));
-        q.push(0u8).expect("open");
-        let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.push(1));
-        std::thread::sleep(Duration::from_millis(30));
+        q.try_push(0u8).expect("room");
         q.close();
-        assert!(handle.join().expect("no panic").is_err());
+        assert!(q.is_closed());
+        assert!(matches!(q.try_push(1), Err(PushError::Closed(1))));
         // Existing items still drain.
         assert_eq!(q.try_pop(), Some(0));
-        assert!(q.push(2).is_err());
+        assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
+        assert_eq!(q.try_pop(), None);
     }
 
     #[test]
-    fn batch_ops_roundtrip() {
+    fn batch_pop_roundtrip() {
         let q = SpscQueue::new(16);
-        q.push_n((0..10).collect()).expect("open");
+        for i in 0..10 {
+            q.try_push(i).expect("room");
+        }
         assert_eq!(q.len(), 10);
         let mut out = Vec::new();
         assert_eq!(q.pop_n(&mut out, 4), 4);
@@ -633,28 +481,11 @@ mod tests {
     }
 
     #[test]
-    fn push_n_larger_than_capacity_blocks_through() {
-        // Batch bigger than the ring: producer publishes in free runs while
-        // a consumer drains concurrently.
-        let q = Arc::new(SpscQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_n((0..64u32).collect()));
-        let mut got = Vec::new();
-        while got.len() < 64 {
-            if q.pop_n(&mut got, 8) == 0 {
-                std::thread::yield_now();
-            }
-        }
-        assert!(producer.join().expect("no panic").is_ok());
-        assert_eq!(got, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn drop_releases_in_flight_items() {
         let q = SpscQueue::new(8);
         let marker = Arc::new(());
         for _ in 0..5 {
-            q.push(Arc::clone(&marker)).expect("open");
+            q.try_push(Arc::clone(&marker)).expect("room");
         }
         q.try_pop();
         drop(q);
@@ -665,7 +496,7 @@ mod tests {
     fn wraparound_many_times() {
         let q = SpscQueue::new(4);
         for round in 0..1000u64 {
-            q.push(round).expect("open");
+            q.try_push(round).expect("room");
             assert_eq!(q.try_pop(), Some(round));
         }
         assert!(q.is_empty());

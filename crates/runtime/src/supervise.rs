@@ -21,8 +21,8 @@
 //!   exactly-once for everything else.
 //! * **Death** ([`RestartPolicy::Never`], or a bounded budget exhausted):
 //!   the replica retires through the normal accounting path and closes its
-//!   *input* queues so blocked producers fail fast instead of parking
-//!   forever. Its output queues are **not** closed — still-live consumers
+//!   *input* queues so back-pressured producers fail fast instead of
+//!   retrying forever. Its output queues are **not** closed — still-live consumers
 //!   drain them and exit through the ordinary `op_done` cascade.
 //!
 //! The optional **stall watchdog**

@@ -1,24 +1,38 @@
 //! Property + stress tests for the queue fabrics.
 //!
 //! Both [`QueueKind`]s must agree on the contract the engine depends on:
-//! FIFO order, a hard capacity bound (back-pressure), and close/drain
-//! semantics (pushes fail after close, queued items still pop). The
-//! properties replay randomized push/pop interleavings against a
-//! `VecDeque` model; the stress tests move 100k tuples across real
-//! producer/consumer threads under each fabric, and the MPSC ring
+//! FIFO order, a hard capacity bound (a full ring refuses with `Full`), and
+//! close/drain semantics (a closed ring refuses with `Closed`, queued items
+//! still pop). The properties replay randomized push/pop interleavings
+//! against a `VecDeque` model; the stress tests move 100k tuples across
+//! real producer/consumer threads under each fabric, and the MPSC ring
 //! additionally proves exactly-once + FIFO-per-producer under genuine
 //! multi-producer contention.
 
-use brisk_runtime::{MpscQueue, QueueKind, ReplicaQueue};
+use brisk_runtime::{MpscQueue, PushError, QueueKind, ReplicaQueue};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const KINDS: [QueueKind; 2] = [QueueKind::Spsc, QueueKind::Mpsc];
 
+/// Push the way a back-pressured engine task does (`Collector::flush_one`):
+/// a full ring hands the item back, the producer yields and retries.
+fn push_yielding<T>(try_push: impl Fn(T) -> Result<(), PushError<T>>, mut item: T) {
+    loop {
+        match try_push(item) {
+            Ok(()) => return,
+            Err(PushError::Full(back)) => {
+                item = back;
+                std::thread::yield_now();
+            }
+            Err(PushError::Closed(_)) => panic!("queue closed under a live producer"),
+        }
+    }
+}
+
 /// Apply a randomized op sequence to a queue and a `VecDeque` model,
-/// checking they agree step by step. Ops: even = try-style push (via
-/// `push_timeout` with a zero budget so a full queue refuses instead of
-/// blocking), odd = pop.
+/// checking they agree step by step. Ops: even = `try_push` (a full queue
+/// must refuse with `Full`, and only then), odd = pop.
 fn check_against_model(kind: QueueKind, capacity: usize, ops: &[u8]) -> Result<(), TestCaseError> {
     let q: ReplicaQueue<u64> = ReplicaQueue::new(kind, capacity);
     let mut model = std::collections::VecDeque::new();
@@ -26,14 +40,15 @@ fn check_against_model(kind: QueueKind, capacity: usize, ops: &[u8]) -> Result<(
     for &op in ops {
         if op % 2 == 0 {
             let full = model.len() == capacity;
-            let outcome = q.push_timeout(next_value, std::time::Duration::ZERO);
+            let outcome = q.try_push(next_value);
+            let refused = matches!(outcome, Err(PushError::Full(v)) if v == next_value);
             prop_assert!(
-                outcome.is_err() == full,
+                if full { refused } else { outcome.is_ok() },
                 "push on {} at len {} (capacity {}) returned {:?}",
                 kind,
                 model.len(),
                 capacity,
-                outcome.is_err()
+                outcome
             );
             if !full {
                 model.push_back(next_value);
@@ -63,9 +78,9 @@ proptest! {
         }
     }
 
-    /// Batch push_n/pop_n preserve FIFO order and count every item once.
+    /// Batch `pop_n` preserves FIFO order and counts every item once.
     #[test]
-    fn batch_ops_match_item_ops(
+    fn batch_pops_match_item_ops(
         capacity in 1usize..16,
         chunks in prop::collection::vec(1usize..12, 1..20),
     ) {
@@ -74,13 +89,13 @@ proptest! {
             let mut next = 0u64;
             let mut popped = Vec::new();
             for &chunk in &chunks {
-                // Keep each batch within the free space so push_n cannot
-                // block (single-threaded test).
+                // Fill up to the chunk or the free space, whichever binds
+                // (single-threaded: nobody would drain a full ring).
                 let free = capacity - q.len();
-                let n = chunk.min(free);
-                let batch: Vec<u64> = (next..next + n as u64).collect();
-                next += n as u64;
-                prop_assert!(q.push_n(batch).is_ok());
+                for _ in 0..chunk.min(free) {
+                    prop_assert!(q.try_push(next).is_ok());
+                    next += 1;
+                }
                 q.pop_n(&mut popped, chunk / 2 + 1);
             }
             while q.pop_n(&mut popped, 8) > 0 {}
@@ -92,8 +107,9 @@ proptest! {
         }
     }
 
-    /// Close/drain semantics: after close, pushes fail and every item
-    /// enqueued before close still pops, in order.
+    /// Close/drain semantics: after close, pushes are refused with `Closed`
+    /// — on a full ring too — and every item enqueued before close still
+    /// pops, in order.
     #[test]
     fn close_preserves_drain(
         capacity in 1usize..16,
@@ -104,7 +120,7 @@ proptest! {
             let q: ReplicaQueue<u64> = ReplicaQueue::new(kind, capacity);
             let pushed = pre_close.min(capacity);
             for i in 0..pushed {
-                prop_assert!(q.push(i as u64).is_ok());
+                prop_assert!(q.try_push(i as u64).is_ok());
             }
             let expect = pushed as u64;
             let mut seen = 0u64;
@@ -114,8 +130,10 @@ proptest! {
             }
             q.close();
             prop_assert!(q.is_closed());
-            prop_assert!(q.push(999).is_err(), "push after close must fail");
-            prop_assert!(q.push_n(vec![1, 2]).is_err());
+            prop_assert!(
+                matches!(q.try_push(999), Err(PushError::Closed(999))),
+                "push after close must be refused as Closed"
+            );
             while let Some(v) = q.try_pop() {
                 prop_assert_eq!(v, seen);
                 seen += 1;
@@ -126,8 +144,8 @@ proptest! {
 }
 
 /// 2-thread stress: exactly-once, in-order delivery of 100k tuples through
-/// a small ring under both fabrics, with blocking back-pressure on the
-/// producer side and batch pops on the consumer side.
+/// a small ring under both fabrics, with a producer that yields on `Full`
+/// and batch pops on the consumer side.
 #[test]
 fn two_thread_stress_exactly_once_100k() {
     const N: u64 = 100_000;
@@ -136,17 +154,8 @@ fn two_thread_stress_exactly_once_100k() {
         let producer = {
             let q = Arc::clone(&q);
             std::thread::spawn(move || {
-                let mut i = 0u64;
-                while i < N {
-                    // Mix single and batch pushes to cover both paths.
-                    if i % 3 == 0 {
-                        let hi = (i + 16).min(N);
-                        q.push_n((i..hi).collect()).expect("open");
-                        i = hi;
-                    } else {
-                        q.push(i).expect("open");
-                        i += 1;
-                    }
+                for i in 0..N {
+                    push_yielding(|v| q.try_push(v), i);
                 }
             })
         };
@@ -197,7 +206,7 @@ proptest! {
             let q = Arc::clone(&q);
             handles.push(std::thread::spawn(move || {
                 for i in 0..len as u32 {
-                    q.push((p, i)).expect("open");
+                    push_yielding(|v| q.try_push(v), (p, i));
                 }
             }));
         }

@@ -355,8 +355,10 @@ impl<'a> World<'a> {
                         undelivered: Vec::new(),
                         outs: Vec::new(),
                         in_edges: Vec::new(),
-                        te_ns: spec.cost.exec_cycles / clock * 1e9,
-                        others_ns: spec.cost.overhead_cycles / clock * 1e9,
+                        // State access is execution time, as the model
+                        // prices it (`Te + Others + state`).
+                        te_ns: spec.cost.exec_ns(clock) + spec.cost.state_ns(clock),
+                        others_ns: spec.cost.overhead_ns(clock),
                         out_bytes: spec.cost.output_bytes,
                         mem_bytes: spec.cost.mem_bytes_per_tuple,
                         inline_te: Vec::new(),
@@ -454,8 +456,9 @@ impl<'a> World<'a> {
                 if m != op {
                     for s in 0..slots {
                         let processed: f64 = inputs.iter().map(|(_, a)| a[s]).sum();
-                        inline_te[s] += processed * mspec.cost.exec_cycles / clock * 1e9;
-                        inline_oh[s] += processed * mspec.cost.overhead_cycles / clock * 1e9;
+                        inline_te[s] +=
+                            processed * (mspec.cost.exec_ns(clock) + mspec.cost.state_ns(clock));
+                        inline_oh[s] += processed * mspec.cost.overhead_ns(clock);
                         if mspec.kind == OperatorKind::Sink {
                             sink_mult[s] += processed;
                         }
@@ -1067,6 +1070,45 @@ mod tests {
             report.throughput,
             model.throughput
         );
+    }
+
+    #[test]
+    fn stateful_operator_tracks_the_model() {
+        // spout(100) -> bolt(200 + 250 of state access) -> sink(50): the
+        // model prices the bolt at 450 ns. Unfused it gates the pipeline at
+        // 1e9/450; fused, the chain serializes at 100 + 450 + 50. The
+        // simulator must charge the state access in both shapes — on the
+        // bolt as its own executor and as a member folded into its host.
+        let m = machine();
+        let mut b = TopologyBuilder::new("stateful");
+        let s = b.add_spout("spout", CostProfile::new(100.0, 0.0, 16.0, 64.0));
+        let x = b.add_bolt(
+            "index",
+            CostProfile::new(200.0, 0.0, 16.0, 64.0).with_state_access(250.0),
+        );
+        let k = b.add_sink("sink", CostProfile::new(50.0, 0.0, 16.0, 64.0));
+        b.connect_shuffle(s, x);
+        b.connect_shuffle(x, k);
+        let t = b.build().expect("valid");
+        let g = ExecutionGraph::new(&t, &[1, 1, 1], 1);
+        let p = Placement::all_on(g.vertex_count(), SocketId(0));
+        for fusion in [false, true] {
+            let config = SimConfig {
+                fusion,
+                ..quiet_config()
+            };
+            let report = Simulator::new(&m, &g, &p, config).expect("valid").run();
+            let model = Evaluator::saturated(&m)
+                .with_fusion(fusion)
+                .evaluate(&g, &p);
+            let rel = (report.throughput - model.throughput).abs() / model.throughput;
+            assert!(
+                rel < 0.05,
+                "fusion {fusion}: sim {} vs model {} (rel {rel})",
+                report.throughput,
+                model.throughput
+            );
+        }
     }
 
     #[test]
