@@ -126,7 +126,12 @@ impl DynBolt for WcParser {
         };
         // Drop invalid (empty) tuples; selectivity is 1 on this workload.
         if !sentence.is_empty() {
-            collector.send_default(sentence.clone(), tuple.event_ns, tuple.key);
+            collector.send_with(
+                DEFAULT_STREAM,
+                tuple.event_ns,
+                tuple.key,
+                |out: &mut String| out.clone_from(sentence),
+            );
         }
     }
 }
@@ -140,7 +145,10 @@ impl DynBolt for WcSplitter {
         };
         for word in sentence.split(' ') {
             let key = Tuple::hash_key(word.as_bytes());
-            collector.send_default(word.to_string(), tuple.event_ns, key);
+            collector.send_with(DEFAULT_STREAM, tuple.event_ns, key, |out: &mut String| {
+                out.clear();
+                out.push_str(word);
+            });
         }
     }
 }
@@ -154,9 +162,27 @@ impl DynBolt for WcCounter {
         let Some(word) = tuple.value::<String>() else {
             return;
         };
-        let count = self.counts.entry(word.clone()).or_insert(0);
-        *count += 1;
-        collector.send_default((word.clone(), *count), tuple.event_ns, tuple.key);
+        // `entry` would need an owned key — an allocation per word, freed
+        // at once whenever the word is already counted.
+        let count = match self.counts.get_mut(word.as_str()) {
+            Some(count) => {
+                *count += 1;
+                *count
+            }
+            None => {
+                self.counts.insert(word.clone(), 1);
+                1
+            }
+        };
+        collector.send_with(
+            DEFAULT_STREAM,
+            tuple.event_ns,
+            tuple.key,
+            |out: &mut (String, u64)| {
+                out.0.clone_from(word);
+                out.1 = count;
+            },
+        );
     }
 
     fn extract_state(&mut self) -> Option<Vec<StateEntry>> {

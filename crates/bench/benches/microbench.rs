@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the hot paths of every subsystem:
-//! queue operations, model evaluation, B&B placement, simulation event
+//! queue operations, slab refill, model evaluation, B&B placement, simulation event
 //! throughput and workload generation.
 
 use brisk_apps::{generators::SentenceGenerator, linear_road, word_count};
@@ -7,7 +7,7 @@ use brisk_dag::{ExecutionGraph, Placement, VertexId};
 use brisk_model::Evaluator;
 use brisk_numa::{Machine, SocketId};
 use brisk_rlas::{optimize_placement, PlacementOptions};
-use brisk_runtime::{Batch, JumboTuple, QueueKind, ReplicaQueue};
+use brisk_runtime::{Batch, BatchBuilder, JumboTuple, QueueKind, ReplicaQueue, SlabPool};
 use brisk_sim::{SimConfig, Simulator};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -32,6 +32,39 @@ fn bench_queue(c: &mut Criterion) {
             q.try_push(JumboTuple::new(0, 0, batch.clone()))
                 .expect("room");
             std::hint::black_box(q.try_pop())
+        });
+    });
+    g.finish();
+}
+
+/// The rung under `wc`'s data path: 64 eleven-byte `String`s sealed,
+/// dropped and refilled through one pool, per tuple. `push_owned` is what
+/// an operator pays emitting an owned payload (the value is allocated,
+/// and the stale one in the recycled slot freed); `push_with` overwrites
+/// the stale payload in place.
+fn bench_slab_refill(c: &mut Criterion) {
+    const WORD: &str = "elevenbytes";
+    let mut g = c.benchmark_group("runtime/slab_refill_string");
+    g.throughput(Throughput::Elements(64));
+    g.bench_function("push_owned", |b| {
+        let mut builder = BatchBuilder::new(SlabPool::standalone());
+        b.iter(|| {
+            for i in 0..64u64 {
+                let _ = builder.push(std::hint::black_box(WORD).to_string(), i, i);
+            }
+            std::hint::black_box(builder.seal())
+        });
+    });
+    g.bench_function("push_with", |b| {
+        let mut builder = BatchBuilder::new(SlabPool::standalone());
+        b.iter(|| {
+            for i in 0..64u64 {
+                let _ = builder.push_with(i, i, |slot: &mut String| {
+                    slot.clear();
+                    slot.push_str(std::hint::black_box(WORD));
+                });
+            }
+            std::hint::black_box(builder.seal())
         });
     });
     g.finish();
@@ -162,6 +195,7 @@ fn bench_generators(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_queue,
+    bench_slab_refill,
     bench_model,
     bench_bound,
     bench_placement,

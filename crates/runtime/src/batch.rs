@@ -19,8 +19,19 @@
 //! * A [`BatchBuilder`] accumulates typed pushes into an open slab and
 //!   seals it into a `Batch`. Slab storage is recycled through a
 //!   per-producer [`SlabPool`]: when the last `Batch` handle drops —
-//!   usually on the consumer's thread — the cleared `Vec`s travel back to
-//!   the producer's pool, so the steady state allocates nothing.
+//!   usually on the consumer's thread — the `Vec`s travel back to the
+//!   producer's pool *as they are*, old payloads included, and the
+//!   producer's next fill overwrites them slot by slot. **A payload is
+//!   allocated, overwritten and freed only by the task that emits it**:
+//!   the consumer borrows and never runs a payload destructor, so a
+//!   `String` payload's buffer is reused in place
+//!   ([`BatchBuilder::push_with`]) instead of being `malloc`ed on one
+//!   thread and `free`d on another. The one visible consequence: a
+//!   payload's `Drop` runs when its slot is reused or the engine is torn
+//!   down, not when the consumer finishes the batch. (Two cold paths drop
+//!   payloads elsewhere: a slab returned to a pool already holding
+//!   `MAX_POOLED_SLABS` is freed where it was released, and so is a
+//!   pool-less [`Batch::from_rows`] batch.)
 //! * Operators read tuples through [`TupleView`] (a borrowed payload plus
 //!   the lane values) or, batch-at-a-time, through [`BatchCursor`] /
 //!   [`Batch::payloads`], which exposes the contiguous `&[T]` directly.
@@ -39,16 +50,14 @@ const MAX_POOLED_SLABS: usize = 64;
 type AnyPayloads = Box<dyn Any + Send + Sync>;
 type ViewFn = for<'a> fn(&'a (dyn Any + Send + Sync), usize) -> &'a (dyn Any + Send + Sync);
 type PayloadFn = fn(&(dyn Any + Send + Sync), usize) -> Arc<dyn Any + Send + Sync>;
-type ClearFn = fn(&mut (dyn Any + Send + Sync));
 
-/// The three type-erased operations a slab needs after its element type is
-/// forgotten: borrow element `i` as `&dyn Any`, clone element `i` into an
-/// owned [`Tuple`] payload, and clear the storage for recycling.
+/// The two type-erased operations a slab needs after its element type is
+/// forgotten: borrow element `i` as `&dyn Any`, and clone element `i` into
+/// an owned [`Tuple`] payload.
 #[derive(Clone, Copy)]
 struct SlabOps {
     view: ViewFn,
     payload: PayloadFn,
-    clear: ClearFn,
 }
 
 fn view_slab<T: Any + Send + Sync>(
@@ -65,25 +74,19 @@ fn payload_slab<T: Any + Send + Sync + Clone>(
     Arc::new(p.downcast_ref::<Vec<T>>().expect("slab payload type")[i].clone())
 }
 
-fn clear_slab<T: Any + Send + Sync>(p: &mut (dyn Any + Send + Sync)) {
-    p.downcast_mut::<Vec<T>>()
-        .expect("slab payload type")
-        .clear();
-}
-
 fn ops_for<T: Any + Send + Sync + Clone>() -> SlabOps {
     SlabOps {
         view: view_slab::<T>,
         payload: payload_slab::<T>,
-        clear: clear_slab::<T>,
     }
 }
 
-/// Allocation counters for the slab arena, shared engine-wide.
+/// Allocation counters of one [`SlabPool`].
 ///
 /// `outstanding` counts slabs (open in a builder or sealed into live
-/// batches) whose storage is checked out of a pool; it must return to zero
-/// by engine teardown — the leak tripwire CI's leak-check job asserts.
+/// batches) whose storage is checked out of the pool; summed over an
+/// engine's pools it must return to zero by teardown — the leak tripwire
+/// CI's leak-check job asserts.
 #[derive(Debug, Default)]
 pub struct SlabStats {
     allocated: AtomicU64,
@@ -109,8 +112,13 @@ impl SlabStats {
     }
 }
 
-/// Cleared slab storage waiting for reuse.
-struct FreeSlab {
+/// The storage of one slab: contiguous payloads (a type-erased `Vec<T>`)
+/// plus the parallel metadata lanes. The three `Vec`s always have one
+/// length. How much of it is *filled* is the holder's business
+/// ([`OpenSlab::len`], [`Batch`]'s `(start, len)`): in a pool, and past
+/// the fill level of an open or sealed slab, the slots hold whatever an
+/// earlier fill left there.
+struct SlabStorage {
     payloads: AnyPayloads,
     event_ns: Vec<u64>,
     keys: Vec<u64>,
@@ -119,59 +127,57 @@ struct FreeSlab {
 
 /// A per-producer arena of recyclable slab storage.
 ///
-/// The producer's [`BatchBuilder`] draws cleared storage from here instead
-/// of allocating; when the last [`Batch`] over a slab drops — typically on
-/// a consumer thread — the storage travels back through the `Arc`'d pool
-/// handle embedded in the slab. Storage is only reused for the exact same
-/// element type, so recycled capacity is immediately useful.
+/// The producer's [`BatchBuilder`] draws storage from here instead of
+/// allocating; when the last [`Batch`] over a slab drops — typically on a
+/// consumer thread — the storage travels back, uncleared, through the
+/// `Arc`'d pool handle embedded in the slab, and the stale payloads in it
+/// are overwritten (and so dropped) by the producer's next fill. Storage
+/// is only reused for the exact same element type, so recycled capacity —
+/// the `Vec`s' and each old payload's own — is immediately useful. Each
+/// pool keeps its own [`SlabStats`], so producers do not share a counter
+/// cache line.
 pub struct SlabPool {
-    free: Mutex<Vec<FreeSlab>>,
-    stats: Arc<SlabStats>,
+    free: Mutex<Vec<SlabStorage>>,
+    stats: SlabStats,
 }
 
 impl SlabPool {
-    /// A new, empty pool reporting into `stats`.
-    pub fn new(stats: Arc<SlabStats>) -> Arc<SlabPool> {
+    /// A new, empty pool with its own counters.
+    pub fn standalone() -> Arc<SlabPool> {
         Arc::new(SlabPool {
             free: Mutex::new(Vec::new()),
-            stats,
+            stats: SlabStats::default(),
         })
     }
 
-    /// A standalone pool with its own private stats (tests, capture
-    /// collectors).
-    pub fn standalone() -> Arc<SlabPool> {
-        SlabPool::new(Arc::new(SlabStats::default()))
-    }
-
-    /// The stats sink this pool reports into.
-    pub fn stats(&self) -> &Arc<SlabStats> {
+    /// This pool's counters.
+    pub fn stats(&self) -> &SlabStats {
         &self.stats
     }
 
-    fn take(&self, elem_type: TypeId) -> Option<FreeSlab> {
+    fn take(&self, elem_type: TypeId) -> Option<SlabStorage> {
         let mut free = self.free.lock().unwrap_or_else(|p| p.into_inner());
         let idx = free.iter().rposition(|s| s.elem_type == elem_type)?;
         Some(free.swap_remove(idx))
     }
 
-    fn give(&self, slab: FreeSlab) {
+    /// Take `store` back as it is. Beyond [`MAX_POOLED_SLABS`] it is
+    /// dropped here instead, payloads and all, on the caller's thread.
+    fn give(&self, store: SlabStorage) {
         self.stats.outstanding.fetch_sub(1, Ordering::Relaxed);
         let mut free = self.free.lock().unwrap_or_else(|p| p.into_inner());
         if free.len() < MAX_POOLED_SLABS {
-            free.push(slab);
+            free.push(store);
         }
     }
 }
 
-/// The refcounted storage behind one batch: contiguous payloads plus
-/// parallel metadata lanes. Dropping the last handle returns the cleared
-/// storage to its producer's pool.
+/// The refcounted storage behind one batch. Dropping the last handle
+/// returns the storage to its producer's pool without touching a payload:
+/// the dropping thread is usually a consumer's, and payload memory belongs
+/// to the producer.
 struct SlabCore {
-    payloads: AnyPayloads,
-    event_ns: Vec<u64>,
-    keys: Vec<u64>,
-    elem_type: TypeId,
+    store: SlabStorage,
     ops: SlabOps,
     /// `None` for pool-less slabs ([`Batch::from_rows`]); their storage
     /// is simply dropped and they do not count toward any [`SlabStats`].
@@ -181,18 +187,13 @@ struct SlabCore {
 impl Drop for SlabCore {
     fn drop(&mut self) {
         if let Some(pool) = self.pool.take() {
-            (self.ops.clear)(self.payloads.as_mut());
-            let mut event_ns = std::mem::take(&mut self.event_ns);
-            let mut keys = std::mem::take(&mut self.keys);
-            event_ns.clear();
-            keys.clear();
-            let payloads = std::mem::replace(&mut self.payloads, Box::new(()));
-            pool.give(FreeSlab {
-                payloads,
-                event_ns,
-                keys,
-                elem_type: self.elem_type,
-            });
+            let hollow = SlabStorage {
+                payloads: Box::new(()),
+                event_ns: Vec::new(),
+                keys: Vec::new(),
+                elem_type: self.store.elem_type,
+            };
+            pool.give(std::mem::replace(&mut self.store, hollow));
         }
     }
 }
@@ -245,18 +246,19 @@ impl Batch {
 
     /// The contiguous event-time lane for this view.
     pub fn event_ns_lane(&self) -> &[u64] {
-        &self.slab.event_ns[self.start..self.start + self.len]
+        &self.slab.store.event_ns[self.start..self.start + self.len]
     }
 
     /// The contiguous partitioning-key lane for this view.
     pub fn key_lane(&self) -> &[u64] {
-        &self.slab.keys[self.start..self.start + self.len]
+        &self.slab.store.keys[self.start..self.start + self.len]
     }
 
     /// The contiguous payload slice, if the batch's element type is `T`.
     /// This is the zero-copy fast path: one downcast for the whole batch.
     pub fn payloads<T: Any>(&self) -> Option<&[T]> {
         self.slab
+            .store
             .payloads
             .downcast_ref::<Vec<T>>()
             .map(|v| &v[self.start..self.start + self.len])
@@ -267,9 +269,9 @@ impl Batch {
         assert!(i < self.len, "batch index out of range");
         let idx = self.start + i;
         TupleView {
-            payload: (self.slab.ops.view)(self.slab.payloads.as_ref(), idx),
-            event_ns: self.slab.event_ns[idx],
-            key: self.slab.keys[idx],
+            payload: (self.slab.ops.view)(self.slab.store.payloads.as_ref(), idx),
+            event_ns: self.slab.store.event_ns[idx],
+            key: self.slab.store.keys[idx],
         }
     }
 
@@ -279,9 +281,9 @@ impl Batch {
         assert!(i < self.len, "batch index out of range");
         let idx = self.start + i;
         Tuple {
-            payload: (self.slab.ops.payload)(self.slab.payloads.as_ref(), idx),
-            event_ns: self.slab.event_ns[idx],
-            key: self.slab.keys[idx],
+            payload: (self.slab.ops.payload)(self.slab.store.payloads.as_ref(), idx),
+            event_ns: self.slab.store.event_ns[idx],
+            key: self.slab.store.keys[idx],
         }
     }
 
@@ -337,10 +339,12 @@ impl Batch {
         let len = payloads.len();
         Batch {
             slab: Arc::new(SlabCore {
-                payloads: Box::new(payloads),
-                event_ns,
-                keys,
-                elem_type: TypeId::of::<T>(),
+                store: SlabStorage {
+                    payloads: Box::new(payloads),
+                    event_ns,
+                    keys,
+                    elem_type: TypeId::of::<T>(),
+                },
                 ops: ops_for::<T>(),
                 pool: None,
             }),
@@ -476,6 +480,7 @@ impl<'a> BatchCursor<'a> {
         // cursor itself.
         self.batch
             .slab
+            .store
             .payloads
             .downcast_ref::<Vec<T>>()
             .map(|v| &v[self.batch.start..self.batch.start + self.batch.len])
@@ -483,12 +488,12 @@ impl<'a> BatchCursor<'a> {
 
     /// The contiguous event-time lane.
     pub fn event_ns_lane(&self) -> &'a [u64] {
-        &self.batch.slab.event_ns[self.batch.start..self.batch.start + self.batch.len]
+        &self.batch.slab.store.event_ns[self.batch.start..self.batch.start + self.batch.len]
     }
 
     /// The contiguous partitioning-key lane.
     pub fn key_lane(&self) -> &'a [u64] {
-        &self.batch.slab.keys[self.batch.start..self.batch.start + self.batch.len]
+        &self.batch.slab.store.keys[self.batch.start..self.batch.start + self.batch.len]
     }
 
     /// The underlying batch.
@@ -497,12 +502,11 @@ impl<'a> BatchCursor<'a> {
     }
 }
 
-/// Open, typed slab storage under construction.
+/// Open, typed slab storage under construction. Slots `0..len` are this
+/// fill's tuples; recycled storage may hold stale slots past `len`, which
+/// the next pushes overwrite.
 struct OpenSlab {
-    payloads: AnyPayloads,
-    event_ns: Vec<u64>,
-    keys: Vec<u64>,
-    elem_type: TypeId,
+    store: SlabStorage,
     ops: SlabOps,
     len: usize,
 }
@@ -538,6 +542,9 @@ impl BatchBuilder {
     /// Append one tuple. If the open slab holds a different element type
     /// it is sealed and returned — ship it before the new batch to
     /// preserve stream order.
+    ///
+    /// On recycled storage the value overwrites the slot's stale payload,
+    /// which is dropped here, on the producer's thread.
     #[must_use = "a returned batch is sealed output that must be shipped"]
     pub fn push<T: Any + Send + Sync + Clone>(
         &mut self,
@@ -545,89 +552,139 @@ impl BatchBuilder {
         event_ns: u64,
         key: u64,
     ) -> Option<Batch> {
-        let elem_type = TypeId::of::<T>();
-        let sealed = if self.open.as_ref().is_some_and(|o| o.elem_type != elem_type) {
+        let sealed = if self.holds_other::<T>() {
             self.seal()
         } else {
             None
         };
-        if self.open.is_none() {
-            self.open = Some(self.open_slab::<T>());
-        }
-        let open = self.open.as_mut().expect("just opened");
-        open.payloads
+        let open = self.open_for::<T>();
+        let payloads = open
+            .store
+            .payloads
             .downcast_mut::<Vec<T>>()
-            .expect("slab payload type")
-            .push(value);
-        open.event_ns.push(event_ns);
-        open.keys.push(key);
-        open.len += 1;
+            .expect("slab payload type");
+        let i = open.len;
+        if i < payloads.len() {
+            payloads[i] = value;
+            open.store.event_ns[i] = event_ns;
+            open.store.keys[i] = key;
+        } else {
+            payloads.push(value);
+            open.store.event_ns.push(event_ns);
+            open.store.keys.push(key);
+        }
+        open.len = i + 1;
         sealed
+    }
+
+    /// Append one tuple by writing it into the slot itself: `fill`
+    /// receives the slot's current value — `T::default()` on fresh
+    /// storage, an earlier emission on recycled storage — and must
+    /// overwrite every field. Overwriting in place (`String::clone_from`,
+    /// `clear` + `push_str`) reuses the allocations the stale value owns,
+    /// which [`BatchBuilder::push`] would free and the caller allocate
+    /// again.
+    ///
+    /// The tuple counts only once `fill` returns: if it panics, the
+    /// builder is as it was (the half-written slot stays out of reach past
+    /// the fill level). Returns a sealed batch on an element-type switch,
+    /// as `push` does.
+    #[must_use = "a returned batch is sealed output that must be shipped"]
+    pub fn push_with<T: Any + Send + Sync + Clone + Default>(
+        &mut self,
+        event_ns: u64,
+        key: u64,
+        fill: impl FnOnce(&mut T),
+    ) -> Option<Batch> {
+        if self.holds_other::<T>() {
+            // Type switch: run `fill` before the open slab is sealed, so a
+            // panic in it cannot take that sealed batch down with it.
+            let mut value = T::default();
+            fill(&mut value);
+            return self.push(value, event_ns, key);
+        }
+        let open = self.open_for::<T>();
+        let payloads = open
+            .store
+            .payloads
+            .downcast_mut::<Vec<T>>()
+            .expect("slab payload type");
+        let i = open.len;
+        if i == payloads.len() {
+            payloads.push(T::default());
+            open.store.event_ns.push(0);
+            open.store.keys.push(0);
+        }
+        fill(&mut payloads[i]);
+        open.store.event_ns[i] = event_ns;
+        open.store.keys[i] = key;
+        open.len = i + 1;
+        None
     }
 
     /// Seal the open slab into an immutable, refcounted [`Batch`]
     /// (`None` when nothing is buffered).
     pub fn seal(&mut self) -> Option<Batch> {
         let o = self.open.take()?;
-        let len = o.len;
+        if o.len == 0 {
+            // Opened by a `push_with` whose `fill` panicked.
+            self.pool.give(o.store);
+            return None;
+        }
         Some(Batch {
             slab: Arc::new(SlabCore {
-                payloads: o.payloads,
-                event_ns: o.event_ns,
-                keys: o.keys,
-                elem_type: o.elem_type,
+                store: o.store,
                 ops: o.ops,
                 pool: Some(Arc::clone(&self.pool)),
             }),
             start: 0,
-            len,
+            len: o.len,
         })
     }
 
-    fn open_slab<T: Any + Send + Sync + Clone>(&self) -> OpenSlab {
-        let elem_type = TypeId::of::<T>();
-        let stats = &self.pool.stats;
-        stats.outstanding.fetch_add(1, Ordering::Relaxed);
-        match self.pool.take(elem_type) {
-            Some(free) => {
-                stats.recycled.fetch_add(1, Ordering::Relaxed);
-                OpenSlab {
-                    payloads: free.payloads,
-                    event_ns: free.event_ns,
-                    keys: free.keys,
-                    elem_type,
-                    ops: ops_for::<T>(),
-                    len: 0,
+    /// Whether the open slab holds another element type than `T` and has
+    /// to be sealed before a `T` can be pushed.
+    fn holds_other<T: Any>(&self) -> bool {
+        self.open
+            .as_ref()
+            .is_some_and(|o| o.store.elem_type != TypeId::of::<T>())
+    }
+
+    /// The open slab, drawn from the pool if none is open.
+    fn open_for<T: Any + Send + Sync + Clone>(&mut self) -> &mut OpenSlab {
+        self.open.get_or_insert_with(|| {
+            let elem_type = TypeId::of::<T>();
+            let stats = &self.pool.stats;
+            stats.outstanding.fetch_add(1, Ordering::Relaxed);
+            let store = match self.pool.take(elem_type) {
+                Some(store) => {
+                    stats.recycled.fetch_add(1, Ordering::Relaxed);
+                    store
                 }
-            }
-            None => {
-                stats.allocated.fetch_add(1, Ordering::Relaxed);
-                OpenSlab {
-                    payloads: Box::new(Vec::<T>::new()),
-                    event_ns: Vec::new(),
-                    keys: Vec::new(),
-                    elem_type,
-                    ops: ops_for::<T>(),
-                    len: 0,
+                None => {
+                    stats.allocated.fetch_add(1, Ordering::Relaxed);
+                    SlabStorage {
+                        payloads: Box::new(Vec::<T>::new()),
+                        event_ns: Vec::new(),
+                        keys: Vec::new(),
+                        elem_type,
+                    }
                 }
+            };
+            OpenSlab {
+                store,
+                ops: ops_for::<T>(),
+                len: 0,
             }
-        }
+        })
     }
 }
 
 impl Drop for BatchBuilder {
     fn drop(&mut self) {
         // Return unsealed storage so teardown balances `outstanding`.
-        if let Some(mut o) = self.open.take() {
-            (o.ops.clear)(o.payloads.as_mut());
-            o.event_ns.clear();
-            o.keys.clear();
-            self.pool.give(FreeSlab {
-                payloads: o.payloads,
-                event_ns: o.event_ns,
-                keys: o.keys,
-                elem_type: o.elem_type,
-            });
+        if let Some(o) = self.open.take() {
+            self.pool.give(o.store);
         }
     }
 }

@@ -637,17 +637,13 @@ impl Engine {
         let wake_hub = Arc::new(WakeHub::new(total_replicas));
 
         // Slab arenas for the zero-copy batch fabric: one pool per
-        // (operator, replica) producer, all reporting into one engine-wide
-        // stats sink so teardown can assert every slab came home.
-        let slab_stats = Arc::new(SlabStats::default());
+        // (operator, replica) producer, each with its own counters; the
+        // handle keeps them all so teardown can sum the counters and
+        // assert every slab came home.
         let pools: Vec<Vec<Arc<SlabPool>>> = self
             .replication
             .iter()
-            .map(|&r| {
-                (0..r)
-                    .map(|_| SlabPool::new(Arc::clone(&slab_stats)))
-                    .collect()
-            })
+            .map(|&r| (0..r).map(|_| SlabPool::standalone()).collect())
             .collect();
 
         // Queues per unfused logical edge. Output edges are grouped per
@@ -929,7 +925,6 @@ impl Engine {
             running,
             watchdog,
             pools,
-            slab_stats,
             limit: condition,
             started,
         }
@@ -959,7 +954,6 @@ pub struct EngineHandle {
     running: PoolRun,
     watchdog: Option<std::thread::JoinHandle<()>>,
     pools: Vec<Vec<Arc<SlabPool>>>,
-    slab_stats: Arc<SlabStats>,
     limit: RunLimit,
     started: Instant,
 }
@@ -1043,7 +1037,6 @@ impl EngineHandle {
             running,
             watchdog,
             pools,
-            slab_stats,
             limit,
             started,
         } = self;
@@ -1090,13 +1083,18 @@ impl EngineHandle {
         // Every queue, collector and pending batch dropped with its task,
         // so every slab checked out of an arena must be home again. Debug
         // tripwire: a nonzero count is a refcount leak in the batch fabric.
-        drop(pools);
+        let slab_sum = |count: fn(&SlabStats) -> u64| -> u64 {
+            pools.iter().flatten().map(|p| count(p.stats())).sum()
+        };
+        let slab_allocs = slab_sum(SlabStats::allocated);
+        let slab_recycled = slab_sum(SlabStats::recycled);
+        let outstanding = slab_sum(SlabStats::outstanding);
         debug_assert_eq!(
-            slab_stats.outstanding(),
-            0,
-            "slab leak at engine teardown: {} slab(s) still outstanding",
-            slab_stats.outstanding()
+            outstanding, 0,
+            "slab leak at engine teardown: {outstanding} slab(s) still outstanding"
         );
+        // The payloads left in pooled slabs are freed here, not by a worker.
+        drop(pools);
 
         let elapsed = started.elapsed();
         let load_all =
@@ -1118,8 +1116,8 @@ impl EngineHandle {
                     faults: load(&shared.op_faults, op),
                 })
                 .collect(),
-            slab_allocs: slab_stats.allocated(),
-            slab_recycled: slab_stats.recycled(),
+            slab_allocs,
+            slab_recycled,
             faults: std::mem::take(&mut *shared.faults.lock()),
             stalls: std::mem::take(&mut *shared.stalls.lock()),
             replica_tuples: load_all(&shared.replica_tuples),
@@ -1529,8 +1527,11 @@ pub(crate) fn consume_batch(
     op_index: usize,
     shared: &EngineShared,
 ) -> Result<(), String> {
-    while !state.batch.is_empty() {
-        let jumbo = state.batch.remove(0);
+    // Front to back without shifting the rest down per jumbo; each jumbo
+    // still drops (and recycles its slab) as soon as it is consumed.
+    let mut jumbos = std::mem::take(&mut state.batch);
+    let mut unconsumed = jumbos.drain(..);
+    while let Some(jumbo) = unconsumed.next() {
         let total = jumbo.len();
         let now_ns = if state.sink_local.is_some() {
             shared.clock.now_ns()
@@ -1595,10 +1596,13 @@ pub(crate) fn consume_batch(
                 if done + 1 < total {
                     state.pending.push(batch.slice(done + 1, total - done - 1));
                 }
+                state.batch.extend(unconsumed);
                 return Err(panic_message(payload.as_ref()));
             }
         }
     }
+    drop(unconsumed);
+    state.batch = jumbos; // empty, capacity kept
     Ok(())
 }
 

@@ -16,7 +16,13 @@
 //!   container handle — a single queue insertion moves the whole batch
 //!   (Section 5.2), broadcast is a refcount bump, and slab storage
 //!   recycles through per-producer [`SlabPool`] arenas so the steady
-//!   state allocates nothing.
+//!   state allocates nothing. Pass-by-reference is taken to its
+//!   conclusion: *a payload is allocated, overwritten and freed only by
+//!   the task that emits it*. A consumer borrows a slab and hands it back
+//!   uncleared; the producer's next fill overwrites the stale payloads,
+//!   in place when the operator emits through [`Collector::send_with`],
+//!   so a payload's `Drop` runs when its slot is reused or the engine is
+//!   torn down, not when the consumer finishes the batch.
 //! * **Bounded queues with back-pressure**: when a consumer falls behind,
 //!   its input queues fill and producer tasks yield their worker instead
 //!   of consuming more input, eventually throttling the spout so the

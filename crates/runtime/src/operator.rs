@@ -312,6 +312,9 @@ pub struct Collector {
     follower_of: Vec<Option<usize>>,
     /// Fused-away consumers executed inline on emit (operator fusion).
     fused: Vec<FusedTarget>,
+    /// The value [`Collector::send_with`] fills when it cannot fill a slab
+    /// slot directly; kept between sends so its allocations are reused.
+    scratch: Option<Box<dyn Any + Send>>,
     clock: Arc<EngineClock>,
     /// Wake hub: a successful push marks the consumer's task ready.
     /// `None` only for standalone [`Collector::capture`] collectors, whose
@@ -379,6 +382,7 @@ impl Collector {
             shared_followers,
             follower_of,
             fused: Vec::new(),
+            scratch: None,
             clock,
             wake_hub: None,
             backpressured: false,
@@ -449,6 +453,59 @@ impl Collector {
         self.send_impl(brisk_dag::DEFAULT_STREAM, value, event_ns, key);
     }
 
+    /// Send on `stream` by writing the value where it will travel: `fill`
+    /// receives a `T` to overwrite and the tuple is routed, batched and
+    /// delivered exactly as [`Collector::send`] would deliver the result.
+    ///
+    /// **Contract:** the `T` handed to `fill` holds `T::default()` or an
+    /// earlier emission — overwrite every field. Overwrite in place
+    /// (`String::clone_from`, `clear` + `push_str`) and the payload reuses
+    /// the allocations it already owns: when the stream has one queue
+    /// subscriber and no fused one, the `T` is the slab slot itself,
+    /// recycled with its old contents; otherwise it is a value this
+    /// collector keeps between sends, shown to fused consumers and
+    /// `clone_from`ed into each subscriber's slot. Operators whose payloads
+    /// own heap memory should emit this way; for `Copy` payloads `send` is
+    /// the same price.
+    ///
+    /// If `fill` panics nothing was sent.
+    pub fn send_with<T: Any + Send + Sync + Clone + Default>(
+        &mut self,
+        stream: &str,
+        event_ns: u64,
+        key: u64,
+        fill: impl FnOnce(&mut T),
+    ) {
+        let fused = self
+            .fused
+            .iter()
+            .any(|t| t.streams.iter().any(|s| s == stream));
+        let mut subscribers = (0..self.edges.len()).filter(|&ei| self.subscribes(ei, stream));
+        if let (false, Some(ei), None) = (fused, subscribers.next(), subscribers.next()) {
+            let slot = self.route(ei, key);
+            let sealed = self.edges[ei].builders[slot].push_with(event_ns, key, fill);
+            self.emitted += 1;
+            self.after_push(ei, slot, sealed);
+            return;
+        }
+        let mut scratch = match self.scratch.take().map(|b| b.downcast::<T>()) {
+            Some(Ok(scratch)) => scratch,
+            _ => Box::new(T::default()),
+        };
+        fill(&mut scratch);
+        self.emitted += 1;
+        self.deliver_fused(stream, &*scratch, event_ns, key);
+        for ei in 0..self.edges.len() {
+            if self.subscribes(ei, stream) {
+                let slot = self.route(ei, key);
+                let sealed = self.edges[ei].builders[slot]
+                    .push_with(event_ns, key, |v: &mut T| v.clone_from(&scratch));
+                self.after_push(ei, slot, sealed);
+            }
+        }
+        self.scratch = Some(scratch);
+    }
+
     fn send_impl<T: Any + Send + Sync + Clone>(
         &mut self,
         stream: &str,
@@ -459,6 +516,49 @@ impl Collector {
         self.emitted += 1;
         // Fused consumers run first, on a borrowed view — after this the
         // value is moved into a batch builder.
+        self.deliver_fused(stream, &value, event_ns, key);
+        // Queue edges: move the value into the last subscribing edge,
+        // clone only for the earlier ones (single-subscriber streams — the
+        // common case — never clone).
+        let mut remaining = (0..self.edges.len())
+            .filter(|&ei| self.subscribes(ei, stream))
+            .count();
+        if remaining == 0 {
+            return;
+        }
+        let mut value = Some(value);
+        for ei in 0..self.edges.len() {
+            if !self.subscribes(ei, stream) {
+                continue;
+            }
+            remaining -= 1;
+            let v = if remaining == 0 {
+                value.take().expect("last subscriber takes the value")
+            } else {
+                value.as_ref().expect("value present").clone()
+            };
+            let slot = self.route(ei, key);
+            let sealed = self.edges[ei].builders[slot].push(v, event_ns, key);
+            self.after_push(ei, slot, sealed);
+        }
+    }
+
+    /// Whether edge `ei` accumulates `stream` in builders of its own.
+    /// Shared-arrangement followers don't: their consumers are served by
+    /// the leader's builder.
+    fn subscribes(&self, ei: usize, stream: &str) -> bool {
+        self.edges[ei].stream == stream && self.follower_of[ei].is_none()
+    }
+
+    /// Run every fused consumer of `stream` inline on a borrowed view of
+    /// `value`, once per fused edge.
+    fn deliver_fused<T: Any + Send + Sync>(
+        &mut self,
+        stream: &str,
+        value: &T,
+        event_ns: u64,
+        key: u64,
+    ) {
         for fi in 0..self.fused.len() {
             let deliveries = self.fused[fi]
                 .streams
@@ -468,7 +568,7 @@ impl Collector {
             if deliveries == 0 {
                 continue;
             }
-            let view = TupleView::of_value(&value, event_ns, key);
+            let view = TupleView::of_value(value, event_ns, key);
             let target = &mut self.fused[fi];
             for _ in 0..deliveries {
                 target.deliver(&view);
@@ -480,56 +580,26 @@ impl Collector {
                 self.output_closed = true;
             }
         }
-        // Queue edges: move the value into the last subscribing edge,
-        // clone only for the earlier ones (single-subscriber streams — the
-        // common case — never clone). Shared-arrangement followers don't
-        // count: their consumers are served by the leader's builder.
-        let mut remaining = self
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| e.stream == stream && self.follower_of[*i].is_none())
-            .count();
-        if remaining == 0 {
-            return;
-        }
-        let mut value = Some(value);
-        for ei in 0..self.edges.len() {
-            if self.edges[ei].stream != stream || self.follower_of[ei].is_some() {
-                continue;
+    }
+
+    /// The builder of edge `ei` a tuple with `key` accumulates in.
+    fn route(&mut self, ei: usize, key: u64) -> usize {
+        let e = &mut self.edges[ei];
+        if e.broadcast {
+            0 // the single shared builder
+        } else {
+            match e.partitioner.route(key) {
+                RouteTargets::One(t) => t,
+                // Non-broadcast strategies always route to one target.
+                RouteTargets::All(_) => unreachable!("broadcast handled above"),
             }
-            remaining -= 1;
-            let v = if remaining == 0 {
-                value.take().expect("last subscriber takes the value")
-            } else {
-                value.as_ref().expect("value present").clone()
-            };
-            self.push_value(ei, v, event_ns, key);
         }
     }
 
-    /// Append one value to edge `ei`'s builder for its routed consumer,
-    /// sealing/shipping when a slab fills (or changes element type).
-    fn push_value<T: Any + Send + Sync + Clone>(
-        &mut self,
-        ei: usize,
-        value: T,
-        event_ns: u64,
-        key: u64,
-    ) {
-        let slot = {
-            let e = &mut self.edges[ei];
-            if e.broadcast {
-                0 // the single shared builder
-            } else {
-                match e.partitioner.route(key) {
-                    RouteTargets::One(t) => t,
-                    // Non-broadcast strategies always route to one target.
-                    RouteTargets::All(_) => unreachable!("broadcast handled above"),
-                }
-            }
-        };
-        if let Some(batch) = self.edges[ei].builders[slot].push(value, event_ns, key) {
+    /// After a push into builder `slot` of edge `ei`: ship what the push
+    /// sealed, and seal/ship the builder itself once it is full.
+    fn after_push(&mut self, ei: usize, slot: usize, sealed: Option<Batch>) {
+        if let Some(batch) = sealed {
             // Heterogeneous stream: the previous (differently typed) slab
             // sealed early. Ship it ahead to preserve order.
             self.enqueue_batch(ei, slot, batch);
@@ -997,6 +1067,65 @@ mod tests {
         drop(jumbos);
         drop(c);
         assert_eq!(pool.stats().outstanding(), 0, "storage recycled");
+    }
+
+    #[test]
+    fn send_with_overwrites_recycled_slots_in_place() {
+        // One queue subscriber, nothing fused: `fill` gets the slab slot
+        // itself, and after the first batch recycles it gets that batch's
+        // strings back to overwrite.
+        let q = Arc::new(ReplicaQueue::new(QueueKind::default(), 16));
+        let mut c = Collector::new(0, 2, vec![shuffle_edge(&q)], Arc::new(EngineClock::new()));
+        let mut seen = Vec::new();
+        for word in ["alpha", "beta", "gamma", "delta"] {
+            c.send_with(DEFAULT_STREAM, 7, 9, |slot: &mut String| {
+                seen.push(slot.clone());
+                slot.clear();
+                slot.push_str(word);
+            });
+            // Consume (and so recycle) each batch as soon as it ships.
+            if let Some(j) = q.try_pop() {
+                assert_eq!(j.batch.event_ns_lane(), [7, 7]);
+                assert_eq!(j.batch.key_lane(), [9, 9]);
+                seen.push(j.batch.payloads::<String>().expect("typed").join("+"));
+            }
+        }
+        assert_eq!(
+            seen,
+            ["", "", "alpha+beta", "alpha", "beta", "gamma+delta"],
+            "fresh slots hold the default, recycled ones the earlier emission"
+        );
+        assert_eq!(c.emitted, 4);
+    }
+
+    #[test]
+    fn send_with_fans_one_fill_out_to_every_subscriber() {
+        // Two queue edges on one stream: `fill` runs once, on the
+        // collector's own value, and each subscriber's slot gets a copy.
+        let qs: Vec<Arc<ReplicaQueue<JumboTuple>>> = (0..2)
+            .map(|_| Arc::new(ReplicaQueue::new(QueueKind::default(), 16)))
+            .collect();
+        let edges = qs.iter().map(shuffle_edge).collect();
+        let mut c = Collector::new(0, 4, edges, Arc::new(EngineClock::new()));
+        let mut fills = 0;
+        for i in 0..4u64 {
+            c.send_with(DEFAULT_STREAM, i, i, |slot: &mut String| {
+                fills += 1;
+                slot.clear();
+                slot.push_str(&format!("w{i}"));
+            });
+        }
+        c.send_with("nowhere", 0, 0, |_: &mut String| fills += 1);
+        assert_eq!(fills, 5);
+        assert_eq!(c.emitted, 5, "emitted counts logical tuples, not copies");
+        for q in &qs {
+            let j = q.try_pop().expect("jumbo delivered");
+            assert_eq!(
+                j.batch.payloads::<String>().expect("typed"),
+                ["w0", "w1", "w2", "w3"]
+            );
+            assert_eq!(j.batch.event_ns_lane(), [0, 1, 2, 3]);
+        }
     }
 
     #[test]
