@@ -7,7 +7,7 @@
 //! fires at exactly that point, run after run, whatever the pool width or
 //! fusion setting. The trigger counter lives in an `Arc`
 //! created at instrument time and is shared by every replica (and every
-//! restart), so drift onset is a property of *global* progress, not of any
+//! migration epoch), so drift onset is a property of *global* progress, not of any
 //! one replica's tuple count.
 //!
 //! Unlike [`crate::faultinject::FaultPlan`]'s wrappers, drift wrappers

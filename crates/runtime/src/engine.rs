@@ -17,17 +17,14 @@
 use crate::batch::{Batch, BatchCursor, SlabPool, SlabStats};
 use crate::fusion::{FusedSinkState, FusedTarget, SinkLocal, SinkProgress};
 use crate::operator::{
-    AppRuntime, BoltContext, Collector, DynBolt, DynSpout, EngineClock, OperatorRuntime,
-    OutputEdge, StateEntry,
+    AppRuntime, BoltContext, Collector, DynBolt, EngineClock, OperatorRuntime, OutputEdge,
+    StateEntry,
 };
 use crate::partition::Partitioner;
 use crate::queue::{QueueKind, ReplicaQueue};
 use crate::scheduler::{self, PoolRun, Scheduler, WakeHub};
 use crate::spsc::BackoffProfile;
-use crate::supervise::{
-    self, panic_message, FaultKind, FaultSummary, ReplicaFault, RestartPolicy, StallEvent,
-    WatchEntry,
-};
+use crate::supervise::{panic_message, FaultKind, FaultSummary, ReplicaFault};
 use crate::tuple::JumboTuple;
 use brisk_dag::{
     ExecutionGraph, ExecutionPlan, FusionPlan, LogicalTopology, OperatorId, OperatorKind,
@@ -76,19 +73,6 @@ pub struct EngineConfig {
     /// Width of the work-stealing worker pool that drives every replica
     /// task (see [`Scheduler`]; default: one worker per host core).
     pub scheduler: Scheduler,
-    /// What happens when a replica's operator panics: retire it on first
-    /// fault (default) or restart it with exponential backoff (see
-    /// [`RestartPolicy`]). Either way the panic is contained, the faulting
-    /// tuple (when attributable) is quarantined, and the run terminates
-    /// cleanly with the fault in [`RunReport::faults`].
-    pub restart: RestartPolicy,
-    /// Optional stall watchdog: when set, a supervisor thread samples
-    /// per-replica progress counters and records a [`StallEvent`] for any
-    /// bolt/sink replica that makes no progress within the deadline while
-    /// input is pending and no output queue is full (back-pressured
-    /// replicas are never flagged). Observation only — no replica is ever
-    /// killed by the watchdog.
-    pub stall_deadline: Option<Duration>,
 }
 
 impl Default for EngineConfig {
@@ -98,8 +82,6 @@ impl Default for EngineConfig {
             jumbo_size: 64,
             fusion: true,
             scheduler: Scheduler::default(),
-            restart: RestartPolicy::default(),
-            stall_deadline: None,
         }
     }
 }
@@ -144,19 +126,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Replica restart policy on operator panic
-    /// ([`EngineConfig::restart`]).
-    pub fn restart(mut self, policy: RestartPolicy) -> Self {
-        self.config.restart = policy;
-        self
-    }
-
-    /// Arm the stall watchdog ([`EngineConfig::stall_deadline`]).
-    pub fn stall_deadline(mut self, deadline: Duration) -> Self {
-        self.config.stall_deadline = Some(deadline);
-        self
-    }
-
     /// Finish the chain.
     pub fn build(self) -> EngineConfig {
         self.config
@@ -185,8 +154,6 @@ pub struct RunReport {
     ops: Vec<OpStats>,
     /// Every structured fault of the run, in occurrence order.
     faults: Vec<ReplicaFault>,
-    /// Every watchdog stall observation of the run.
-    stalls: Vec<StallEvent>,
     /// Tuples handled per global replica (spouts: emitted; bolts/sinks:
     /// consumed, including inline fused deliveries).
     replica_tuples: Vec<u64>,
@@ -244,15 +211,13 @@ pub struct OpStats {
     /// Jumbo tuples this operator pushed to consumer queues (fused edges
     /// deliver inline and never count).
     pub queue_pushes: u64,
-    /// Replica restarts granted to this operator by the
-    /// [`RestartPolicy`].
-    pub restarts: u64,
     /// Tuples quarantined (dead-lettered) at this operator: each poison
-    /// tuple whose `execute` panicked, plus any tuple delivered to a dead
-    /// fused instance. At-most-once for these; exactly-once otherwise.
+    /// tuple whose `execute` panicked, plus every tuple a dead replica or
+    /// dead fused instance will never process. At-most-once for these;
+    /// exactly-once otherwise.
     pub quarantined: u64,
-    /// Faults attributed to this operator (each restart or death records
-    /// one).
+    /// Faults attributed to this operator (each continuation or death
+    /// records one).
     pub faults: u64,
 }
 
@@ -296,12 +261,6 @@ impl RunReport {
         &self.faults
     }
 
-    /// Every watchdog stall observation (empty unless
-    /// [`EngineConfig::stall_deadline`] was armed and a replica stalled).
-    pub fn stalls(&self) -> &[StallEvent] {
-        &self.stalls
-    }
-
     /// Measured per-replica tuple rates over the whole run, in global
     /// replica order (operator-major). Spout replicas report their emission
     /// rate; bolt and sink replicas their consumption rate, counting inline
@@ -322,13 +281,11 @@ impl RunReport {
             .collect()
     }
 
-    /// Aggregated fault view of the run: faults, stalls, and run-wide
-    /// restart/quarantine totals.
+    /// Aggregated fault view of the run: faults and the run-wide
+    /// quarantine total.
     pub fn fault_summary(&self) -> FaultSummary {
         FaultSummary {
             faults: self.faults.clone(),
-            stalls: self.stalls.clone(),
-            restarts: self.ops.iter().map(|o| o.restarts).sum(),
             quarantined: self.ops.iter().map(|o| o.quarantined).sum(),
         }
     }
@@ -413,8 +370,7 @@ impl Engine {
     /// Stage migrated state for `replica` of operator `op`, installed via
     /// `install_state` right after the replica's operator is constructed
     /// (before it produces or consumes anything). Consumed by the first
-    /// [`Engine::start`]; a restarted replica re-instances from the plain
-    /// factory, exactly as before.
+    /// [`Engine::start`].
     pub fn preload_state(
         &self,
         op: usize,
@@ -728,7 +684,6 @@ impl Engine {
         let clock = Arc::new(EngineClock::new());
         let shared = Arc::new(EngineShared {
             app: Arc::clone(&self.app),
-            config: self.config.clone(),
             backoff_profile,
             clock: Arc::clone(&clock),
             stop: AtomicBool::new(false),
@@ -746,15 +701,10 @@ impl Engine {
             sink_progress: Arc::new(SinkProgress {
                 events: AtomicU64::new(0),
             }),
-            restarts: (0..n_ops).map(|_| AtomicU64::new(0)).collect(),
             quarantined: (0..n_ops).map(|_| AtomicU64::new(0)).collect(),
             op_faults: (0..n_ops).map(|_| AtomicU64::new(0)).collect(),
             faults: Mutex::new(Vec::new()),
-            stalls: Mutex::new(Vec::new()),
-            progress: (0..total_replicas).map(|_| AtomicU64::new(0)).collect(),
-            replica_done: (0..total_replicas)
-                .map(|_| AtomicBool::new(false))
-                .collect(),
+            dead_inputs: Mutex::new(Vec::new()),
             harvest: AtomicBool::new(self.capture_state_on_stop),
             harvested: Mutex::new(Vec::new()),
             retired: Mutex::new(Vec::new()),
@@ -850,10 +800,9 @@ impl Engine {
                     collector,
                     processed: 0,
                     sink,
-                    ctx,
+                    replica: r,
                     shared: Arc::clone(&shared),
                     host_op: host.0,
-                    attempts: 0,
                     dead: false,
                 });
             }
@@ -900,30 +849,11 @@ impl Engine {
             }
         }
 
-        // Arm the stall watchdog before the seeds move into the pool: it
-        // observes bolts/sinks only (spouts have no input to stall on)
-        // through shared progress counters and live queue handles.
-        let watchdog = self.config.stall_deadline.map(|deadline| {
-            let entries: Vec<WatchEntry> = seeds
-                .iter()
-                .filter(|s| s.kind != OperatorKind::Spout)
-                .map(|s| WatchEntry {
-                    global: s.global,
-                    op_index: s.op_index,
-                    replica: s.ctx.replica,
-                    inputs: s.ports.clone(),
-                    outputs: s.collector.queue_handles(),
-                })
-                .collect();
-            supervise::spawn_watchdog(entries, Arc::clone(&shared), deadline)
-        });
-
         let started = Instant::now();
         let running = scheduler::spawn_pool(seeds, wake_hub, Arc::clone(&shared), pool_workers);
         EngineHandle {
             shared,
             running,
-            watchdog,
             pools,
             limit: condition,
             started,
@@ -952,7 +882,6 @@ pub type HarvestedState = Vec<(usize, usize, Vec<StateEntry>)>;
 pub struct EngineHandle {
     shared: Arc<EngineShared>,
     running: PoolRun,
-    watchdog: Option<std::thread::JoinHandle<()>>,
     pools: Vec<Vec<Arc<SlabPool>>>,
     limit: RunLimit,
     started: Instant,
@@ -1035,7 +964,6 @@ impl EngineHandle {
         let EngineHandle {
             shared,
             running,
-            watchdog,
             pools,
             limit,
             started,
@@ -1076,8 +1004,18 @@ impl EngineHandle {
             events: sink_events,
             latency: latency_ns,
         } = running.join(&shared);
-        if let Some(w) = watchdog {
-            let _ = w.join();
+        // Every task retired, so dead replicas' closed rings are quiescent:
+        // charge what is left in them to the dead operator (a push after
+        // the close was charged by its producer) and drop it, so its slabs
+        // are home before the check below.
+        for (op, ports) in std::mem::take(&mut *shared.dead_inputs.lock()) {
+            let mut stranded = 0;
+            for port in &ports {
+                while let Some(jumbo) = port.try_pop() {
+                    stranded += jumbo.len() as u64;
+                }
+            }
+            shared.quarantined[op].fetch_add(stranded, Ordering::Relaxed);
         }
 
         // Every queue, collector and pending batch dropped with its task,
@@ -1111,7 +1049,6 @@ impl EngineHandle {
                     emitted: load(&shared.emitted, op),
                     queue_full_events: load(&shared.queue_full, op),
                     queue_pushes: load(&shared.queue_pushes, op),
-                    restarts: load(&shared.restarts, op),
                     quarantined: load(&shared.quarantined, op),
                     faults: load(&shared.op_faults, op),
                 })
@@ -1119,7 +1056,6 @@ impl EngineHandle {
             slab_allocs,
             slab_recycled,
             faults: std::mem::take(&mut *shared.faults.lock()),
-            stalls: std::mem::take(&mut *shared.stalls.lock()),
             replica_tuples: load_all(&shared.replica_tuples),
             replica_busy: load_all(&shared.replica_busy_ns),
             replica_map: shared.replica_map.clone(),
@@ -1186,7 +1122,6 @@ pub enum RunLimit {
 /// Engine state shared by every task of one run.
 pub(crate) struct EngineShared {
     pub(crate) app: Arc<AppRuntime>,
-    pub(crate) config: EngineConfig,
     pub(crate) backoff_profile: BackoffProfile,
     pub(crate) clock: Arc<EngineClock>,
     pub(crate) stop: AtomicBool,
@@ -1203,24 +1138,15 @@ pub(crate) struct EngineShared {
     /// workers' shutdown condition.
     pub(crate) live_replicas: AtomicUsize,
     pub(crate) sink_progress: Arc<SinkProgress>,
-    /// Per-operator replica restarts granted by the restart policy.
-    pub(crate) restarts: Vec<AtomicU64>,
     /// Per-operator quarantined (dead-lettered) tuple counts.
     pub(crate) quarantined: Vec<AtomicU64>,
     /// Per-operator fault counts (mirrors `faults` for cheap per-op reads).
     pub(crate) op_faults: Vec<AtomicU64>,
     /// Structured fault records, in occurrence order.
     pub(crate) faults: Mutex<Vec<ReplicaFault>>,
-    /// Watchdog stall observations.
-    pub(crate) stalls: Mutex<Vec<StallEvent>>,
-    /// Per-global-replica progress heartbeat sampled by the watchdog:
-    /// bolts/sinks bump theirs once per consumed jumbo (and per backoff
-    /// chunk while awaiting restart). Spouts never bump — the watchdog
-    /// does not observe them.
-    pub(crate) progress: Vec<AtomicU64>,
-    /// Per-global-replica retirement flags so the watchdog skips finished
-    /// replicas.
-    pub(crate) replica_done: Vec<AtomicBool>,
+    /// Closed input rings of replicas that died, by operator index: their
+    /// leftovers are counted into `quarantined` at teardown.
+    pub(crate) dead_inputs: Mutex<Vec<(usize, Vec<InputPort>)>>,
     /// Migration-pause mode: when set at stop time, draining replicas hand
     /// their state out via `extract_state` instead of running `finish`.
     pub(crate) harvest: AtomicBool,
@@ -1234,7 +1160,7 @@ pub(crate) struct EngineShared {
     /// position and the successor's spouts would re-derive fresh shares.
     pub(crate) retired: Mutex<Vec<(usize, usize, Vec<StateEntry>)>>,
     /// Per-global-replica migrated-state install slots, taken exactly once
-    /// at first instantiation (a restart re-instances stateless, as ever).
+    /// at instantiation.
     pub(crate) preload: Vec<Mutex<Option<Vec<StateEntry>>>>,
     /// Per-global-replica tuple counters behind [`EngineHandle::rates`]:
     /// spout replicas count emissions, bolt/sink replicas consumed tuples
@@ -1271,7 +1197,7 @@ impl EngineShared {
         replica: usize,
         kind: FaultKind,
         message: String,
-        restarted: bool,
+        continued: bool,
     ) {
         if op_index != usize::MAX {
             self.op_faults[op_index].fetch_add(1, Ordering::Relaxed);
@@ -1282,18 +1208,8 @@ impl EngineShared {
             replica,
             kind,
             message,
-            restarted,
+            continued,
         });
-    }
-
-    /// Fresh bolt/sink instance from the registered factory — the restart
-    /// path's re-instantiation (used when `recover()` declines the state
-    /// handoff).
-    pub(crate) fn new_bolt_instance(&self, op_index: usize, ctx: BoltContext) -> Box<dyn DynBolt> {
-        match self.app.runtime(OperatorId(op_index)) {
-            OperatorRuntime::Bolt(f) | OperatorRuntime::Sink(f) => f(ctx),
-            OperatorRuntime::Spout(_) => unreachable!("spouts restart through their own path"),
-        }
     }
 
     /// Whether the run is stopping into a migration pause (state harvest)
@@ -1332,18 +1248,6 @@ impl EngineShared {
             self.retired.lock().push((op_index, replica, entries));
         }
     }
-
-    /// Fresh spout instance from the registered factory (restart path).
-    pub(crate) fn new_spout_instance(
-        &self,
-        op_index: usize,
-        ctx: BoltContext,
-    ) -> Box<dyn DynSpout> {
-        match self.app.runtime(OperatorId(op_index)) {
-            OperatorRuntime::Spout(f) => f(ctx),
-            _ => unreachable!("kind checked by validate()"),
-        }
-    }
 }
 
 /// Everything one spawned replica needs to run, produced by the engine's
@@ -1369,7 +1273,6 @@ pub(crate) fn emergency_retire(
     shared: &EngineShared,
     op_index: usize,
     replica: usize,
-    global: usize,
     hosted_ops: &[usize],
     input_queues: &[InputPort],
     message: String,
@@ -1386,7 +1289,6 @@ pub(crate) fn emergency_retire(
     if shared.op_live[op_index].fetch_sub(1, Ordering::AcqRel) == 1 {
         shared.op_done[op_index].store(true, Ordering::Release);
     }
-    shared.replica_done[global].store(true, Ordering::Relaxed);
     shared.live_replicas.fetch_sub(1, Ordering::Relaxed);
 }
 
@@ -1405,6 +1307,7 @@ pub(crate) fn merge_and_retire(
     shared.emitted[op_index].fetch_add(collector.emitted, Ordering::Relaxed);
     shared.queue_full[op_index].fetch_add(collector.stalled_flushes, Ordering::Relaxed);
     shared.queue_pushes[op_index].fetch_add(collector.flushes, Ordering::Relaxed);
+    charge_refused(collector, shared);
     // Merge every fused operator instance's counters and sink metrics,
     // then retire it from `op_live` — a fused operator has one instance
     // per host replica, and the last host out releases its `op_done`
@@ -1415,6 +1318,7 @@ pub(crate) fn merge_and_retire(
         shared.queue_full[target.op_index]
             .fetch_add(target.collector.stalled_flushes, Ordering::Relaxed);
         shared.queue_pushes[target.op_index].fetch_add(target.collector.flushes, Ordering::Relaxed);
+        charge_refused(&target.collector, shared);
         if let Some(state) = target.sink.take() {
             let local = sink_local.get_or_insert_with(SinkLocal::default);
             local.events += state.local.events;
@@ -1428,9 +1332,17 @@ pub(crate) fn merge_and_retire(
     if shared.op_live[op_index].fetch_sub(1, Ordering::AcqRel) == 1 {
         shared.op_done[op_index].store(true, Ordering::Release);
     }
-    shared.replica_done[collector.replica()].store(true, Ordering::Relaxed);
     shared.live_replicas.fetch_sub(1, Ordering::Relaxed);
     sink_local
+}
+
+/// Charge the tuples `collector` dropped at closed rings to the dead
+/// consumers' operators, so their edges still conserve.
+fn charge_refused(collector: &Collector, shared: &EngineShared) {
+    for &(consumer, tuples) in &collector.refused {
+        let (op, _) = shared.replica_map[consumer];
+        shared.quarantined[op].fetch_add(tuples, Ordering::Relaxed);
+    }
 }
 
 /// Jumbos drained from one port per consumer poll: enough to amortize the
@@ -1492,8 +1404,8 @@ pub(crate) struct BoltState {
     pub(crate) batch: Vec<JumboTuple>,
     /// Remainders of panic-interrupted batches — everything after the
     /// quarantined poison tuple, kept as zero-copy slices of the shared
-    /// slab: replayed first after a restart, so a contained panic loses
-    /// exactly the one quarantined tuple.
+    /// slab: replayed first when the replica continues, so a contained
+    /// panic loses exactly the one quarantined tuple.
     pub(crate) pending: Vec<Batch>,
     pub(crate) sink_local: Option<SinkLocal>,
     pub(crate) since_flush: u32,
@@ -1519,8 +1431,8 @@ impl BoltState {
 /// A panic inside `execute` returns `Err` with the rendered payload after
 /// quarantining exactly the poison tuple: everything executed before it is
 /// already counted, everything after it moves to `state.pending` for
-/// replay once the supervisor restarts the operator, and the remaining
-/// jumbos stay in `state.batch`.
+/// replay if the operator continues, and the remaining jumbos stay in
+/// `state.batch`.
 pub(crate) fn consume_batch(
     state: &mut BoltState,
     collector: &mut Collector,
@@ -1549,7 +1461,6 @@ pub(crate) fn consume_batch(
         let result = catch_unwind(AssertUnwindSafe(|| bolt.consume(&cursor, collector)));
         shared.replica_busy_ns[collector.replica()]
             .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        shared.progress[collector.replica()].fetch_add(1, Ordering::Relaxed);
         // Sink metrics are recorded post-hoc off the batch's event-time
         // lane (completed prefix only, on a fault) — one clock read per
         // batch, same resolution as before, no per-tuple bookkeeping
@@ -1584,7 +1495,7 @@ pub(crate) fn consume_batch(
             Err(payload) => {
                 // `done` tuples completed and count as processed; tuple
                 // `done` is the poison tuple — quarantined, never retried;
-                // the tail replays after restart as a zero-copy slice of
+                // the tail replays on continuation as a zero-copy slice of
                 // the same slab (no payload clones to quarantine out of a
                 // shared batch).
                 let done = cursor.done().min(total);
@@ -1633,7 +1544,6 @@ pub(crate) fn replay_pending(
         let result = catch_unwind(AssertUnwindSafe(|| bolt.consume(&cursor, collector)));
         shared.replica_busy_ns[collector.replica()]
             .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        shared.progress[collector.replica()].fetch_add(1, Ordering::Relaxed);
         match result {
             Ok(()) => {
                 if let Some(local) = state.sink_local.as_mut() {

@@ -25,7 +25,7 @@
 
 use crate::batch::TupleView;
 use crate::engine::EngineShared;
-use crate::operator::{BoltContext, Collector, DynBolt};
+use crate::operator::{Collector, DynBolt};
 use crate::supervise::{panic_message, FaultKind};
 use brisk_metrics::Histogram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -98,18 +98,16 @@ pub(crate) struct FusedTarget {
     pub(crate) processed: u64,
     /// Present when the fused consumer is a sink.
     pub(crate) sink: Option<FusedSinkState>,
-    /// Construction context of the fused operator instance — the restart
-    /// path re-instances through the registered factory with it.
-    pub(crate) ctx: BoltContext,
+    /// Replica index of the fused operator instance.
+    pub(crate) replica: usize,
     /// Shared run state: fault records and quarantine counters.
     pub(crate) shared: Arc<EngineShared>,
     /// Logical operator index of the chain host (fault attribution names
     /// the fused op, with the host recorded alongside).
     pub(crate) host_op: usize,
-    /// Contained panics so far, checked against the restart policy.
-    pub(crate) attempts: u32,
-    /// Restart budget exhausted: deliveries dead-letter (quarantine) and
-    /// the host winds down via its `output_closed` check.
+    /// The operator panicked and declined to continue: deliveries
+    /// dead-letter (quarantine) and the host winds down via its
+    /// `output_closed` check.
     pub(crate) dead: bool,
 }
 
@@ -121,9 +119,8 @@ impl FusedTarget {
     ///
     /// A contained panic quarantines the tuple and attributes a
     /// [`FaultKind::FusedPanic`] to the *fused* operator, not the host.
-    /// Restart is inline (re-instance or `recover()`) with no backoff: a
-    /// fused target runs on its host's thread, and sleeping here would
-    /// stall the host and everything it feeds.
+    /// The operator's `recover()` then decides: continue with the same
+    /// instance, or die and dead-letter every later delivery.
     pub(crate) fn deliver(&mut self, tuple: &TupleView<'_>) {
         if self.dead {
             // Dead-letter accounting keeps conservation exact: every tuple
@@ -139,8 +136,7 @@ impl FusedTarget {
                 // Per-replica rate signal for the elastic controller: an
                 // inline delivery counts against the fused operator's own
                 // replica, exactly like a queued pop would.
-                self.shared.replica_tuples
-                    [self.shared.replica_base[self.op_index] + self.ctx.replica]
+                self.shared.replica_tuples[self.shared.replica_base[self.op_index] + self.replica]
                     .fetch_add(1, Ordering::Relaxed);
                 if let Some(sink) = &mut self.sink {
                     if sink.until_refresh == 0 || sink.cached_now_ns < tuple.event_ns {
@@ -157,32 +153,18 @@ impl FusedTarget {
                 }
             }
             Err(payload) => {
-                let message = panic_message(payload.as_ref());
                 self.shared.quarantined[self.op_index].fetch_add(1, Ordering::Relaxed);
-                self.attempts += 1;
-                let granted = self
-                    .shared
-                    .config
-                    .restart
-                    .delay_for(self.attempts)
-                    .is_some();
+                let continued = self.bolt.recover();
                 self.shared.record_fault(
                     self.op_index,
-                    self.ctx.replica,
+                    self.replica,
                     FaultKind::FusedPanic {
                         host_op: self.host_op,
                     },
-                    message,
-                    granted,
+                    panic_message(payload.as_ref()),
+                    continued,
                 );
-                if granted {
-                    self.shared.restarts[self.op_index].fetch_add(1, Ordering::Relaxed);
-                    if !self.bolt.recover() {
-                        self.bolt = self.shared.new_bolt_instance(self.op_index, self.ctx);
-                    }
-                } else {
-                    self.dead = true;
-                }
+                self.dead = !continued;
             }
         }
     }
@@ -201,10 +183,10 @@ impl FusedTarget {
             match catch_unwind(AssertUnwindSafe(|| bolt.extract_state())) {
                 Ok(entries) => self
                     .shared
-                    .harvest_state(self.op_index, self.ctx.replica, entries),
+                    .harvest_state(self.op_index, self.replica, entries),
                 Err(payload) => self.shared.record_fault(
                     self.op_index,
-                    self.ctx.replica,
+                    self.replica,
                     FaultKind::FusedPanic {
                         host_op: self.host_op,
                     },
@@ -218,7 +200,7 @@ impl FusedTarget {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| bolt.finish(collector))) {
             self.shared.record_fault(
                 self.op_index,
-                self.ctx.replica,
+                self.replica,
                 FaultKind::FusedPanic {
                     host_op: self.host_op,
                 },

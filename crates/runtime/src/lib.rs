@@ -55,13 +55,14 @@
 //!
 //! * **Supervised execution** ([`supervise`]): every user-operator call is
 //!   panic-contained; a panicking replica becomes a structured
-//!   [`ReplicaFault`], the poison tuple is quarantined (at-most-once for
-//!   it, exactly-once for everything else), and a [`RestartPolicy`] decides
-//!   between bounded exponential-backoff restarts and clean retirement.
-//!   An optional stall watchdog ([`EngineConfig::stall_deadline`]) flags
-//!   no-progress replicas without ever killing one, and the deterministic
-//!   [`FaultPlan`] harness ([`faultinject`]) drives fault-conformance
-//!   testing with fusion on and off.
+//!   [`ReplicaFault`] and the poison tuple is quarantined (at-most-once for
+//!   it, exactly-once for everything else). The operator, not the engine
+//!   configuration, decides what happens next: [`DynBolt::recover`] /
+//!   [`DynSpout::recover`] returning `true` keeps the same instance going;
+//!   the default retires the replica, and every tuple it will never process
+//!   is charged to its quarantine count, so conservation holds on death
+//!   too. The deterministic [`FaultPlan`] harness ([`faultinject`]) drives
+//!   fault-conformance testing with fusion on and off.
 //!
 //! * **Elastic execution** ([`elastic`]): the profile → optimize → execute
 //!   life cycle runs continuously. An [`ElasticEngine`] samples live
@@ -114,7 +115,5 @@ pub use partition::{keyby_slot_table, route_keyed, Partitioner, KEYBY_SLOTS_PER_
 pub use queue::{QueueKind, ReplicaQueue};
 pub use scheduler::Scheduler;
 pub use spsc::{Backoff, BackoffProfile, PushError, SpscQueue};
-pub use supervise::{
-    FaultKind, FaultSummary, ReplicaFault, RestartPolicy, StallEvent, MAX_RESTART_BACKOFF,
-};
+pub use supervise::{FaultKind, FaultSummary, ReplicaFault};
 pub use tuple::{JumboTuple, Tuple};

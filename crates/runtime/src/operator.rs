@@ -48,21 +48,19 @@ pub trait DynSpout: Send {
     /// Produce the next tuple(s) into `collector`.
     fn next(&mut self, collector: &mut Collector) -> SpoutStatus;
 
-    /// Called after this replica panicked and the restart policy granted a
-    /// restart. Return `true` to keep this instance (explicit state
-    /// handoff); the default `false` discards it and the supervisor builds
-    /// a fresh instance from the operator factory.
+    /// Called after `next` panicked. Return `true` only if this instance
+    /// is consistent after an unwind anywhere in the call: the replica
+    /// then keeps it and calls `next` again. The default `false` retires
+    /// the replica.
     fn recover(&mut self) -> bool {
         false
     }
 
-    /// Hand this replica's source position out for plan migration
-    /// (generalizing [`DynSpout::recover`]'s in-place handoff to an
-    /// across-engines one): called after the replica drains during a
-    /// migration pause. Return `Some` to move the state (the entries are
-    /// re-installed via [`DynSpout::install_state`] into the successor
-    /// engine's replica); the default `None` marks the spout stateless for
-    /// migration purposes.
+    /// Hand this replica's source position out for plan migration: called
+    /// after the replica drains during a migration pause. Return `Some` to
+    /// move the state (the entries are re-installed via
+    /// [`DynSpout::install_state`] into the successor engine's replica);
+    /// the default `None` marks the spout stateless for migration purposes.
     fn extract_state(&mut self) -> Option<Vec<StateEntry>> {
         None
     }
@@ -96,10 +94,12 @@ pub trait DynBolt: Send {
     /// Called once at shutdown so stateful bolts can emit final results.
     fn finish(&mut self, _collector: &mut Collector) {}
 
-    /// Called after this replica panicked and the restart policy granted a
-    /// restart. Return `true` to keep this instance (explicit state
-    /// handoff); the default `false` discards it and the supervisor builds
-    /// a fresh instance from the operator factory.
+    /// Called after `execute` or `consume` panicked; the poison tuple is
+    /// quarantined either way. Return `true` only if this instance is
+    /// consistent after an unwind anywhere in the call: the replica then
+    /// keeps it and carries on with the next tuple. The default `false`
+    /// retires the replica, and every tuple it will not process is
+    /// charged to its quarantine count.
     fn recover(&mut self) -> bool {
         false
     }
@@ -340,6 +340,10 @@ pub struct Collector {
     /// True once any destination queue is closed (engine shutting down),
     /// including queues downstream of a fused chain.
     pub output_closed: bool,
+    /// Tuples dropped at closed rings, as `(consumer global replica,
+    /// tuples)`: a closed ring belongs to a replica that died, and the
+    /// engine charges these to its operator's quarantine count.
+    pub(crate) refused: Vec<(usize, u64)>,
 }
 
 impl Collector {
@@ -391,6 +395,7 @@ impl Collector {
             flushes: 0,
             stalled_flushes: 0,
             output_closed: false,
+            refused: Vec::new(),
         }
     }
 
@@ -573,8 +578,8 @@ impl Collector {
             for _ in 0..deliveries {
                 target.deliver(&view);
             }
-            // A dead fused target (restart budget exhausted) can no longer
-            // make progress: treat it like a closed output so the host
+            // A dead fused target (its operator declined to continue) can
+            // no longer make progress: treat it like a closed output so the host
             // winds down instead of feeding a black hole forever.
             if target.collector.output_closed || target.dead {
                 self.output_closed = true;
@@ -682,7 +687,15 @@ impl Collector {
                     self.backpressured = true;
                     return;
                 }
-                Err(PushError::Closed(_)) => self.output_closed = true,
+                Err(PushError::Closed(jumbo)) => {
+                    let dead = e.consumers[consumer];
+                    let tuples = jumbo.len() as u64;
+                    self.output_closed = true;
+                    match self.refused.iter_mut().find(|(c, _)| *c == dead) {
+                        Some((_, n)) => *n += tuples,
+                        None => self.refused.push((dead, tuples)),
+                    }
+                }
             }
         }
     }
@@ -735,22 +748,6 @@ impl Collector {
         for target in &self.fused {
             out.push(target.op_index);
             out.extend(target.collector.hosted_ops());
-        }
-        out
-    }
-
-    /// Every destination queue reachable from this collector, including
-    /// queues owned by fused targets down the chain — the stall watchdog's
-    /// back-pressure disambiguation set.
-    pub(crate) fn queue_handles(&self) -> Vec<Arc<ReplicaQueue<JumboTuple>>> {
-        let mut out = Vec::new();
-        for e in &self.edges {
-            for q in &e.queues {
-                out.push(Arc::clone(q));
-            }
-        }
-        for target in &self.fused {
-            out.extend(target.collector.queue_handles());
         }
         out
     }

@@ -78,7 +78,7 @@ use crate::engine::{
     InputPort, TaskSeed, FLUSH_EVERY, POP_BATCH,
 };
 use crate::fusion::SinkLocal;
-use crate::operator::{BoltContext, Collector, DynSpout, OperatorRuntime, SpoutStatus};
+use crate::operator::{Collector, DynSpout, OperatorRuntime, SpoutStatus};
 use crate::spsc::Backoff;
 use crate::supervise::{panic_message, FaultKind};
 use brisk_dag::OperatorKind;
@@ -88,7 +88,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle, Thread};
-use std::time::Instant;
 
 /// How the engine maps operator replicas onto OS threads
 /// ([`crate::EngineConfig::scheduler`]). There is one executor; its width
@@ -199,6 +198,8 @@ struct TaskMeta {
 /// input ports and supervision state.
 struct Task {
     op_index: usize,
+    /// Replica index within the operator.
+    replica: usize,
     body: TaskBody,
     collector: Collector,
     ports: Vec<InputPort>,
@@ -206,16 +207,8 @@ struct Task {
     /// Operator `finish` hooks already ran; the task only drains
     /// back-pressured output buffers before retiring.
     finished: bool,
-    /// Construction context — the restart path re-instances the operator
-    /// through its factory with it.
-    ctx: BoltContext,
-    /// Contained panics so far, checked against the restart policy.
-    attempts: u32,
-    /// Restart backoff: instead of sleeping a worker, the
-    /// task yields unproductively until this instant passes.
-    resume_at: Option<Instant>,
-    /// Restart budget exhausted: skip the operator's `finish`, drain
-    /// buffers, retire.
+    /// The operator panicked and declined to continue: skip its `finish`,
+    /// drain buffers, retire.
     dead: bool,
 }
 
@@ -257,25 +250,14 @@ enum Step {
     Yield(bool),
     Sleep,
     Finish,
-    /// A contained operator panic (rendered payload); the supervisor
-    /// decides restart vs. death.
+    /// A contained operator panic (rendered payload); the operator's
+    /// `recover()` decides continuation vs. death.
     Fault(String),
 }
 
 fn run_slice(task: &mut Task, shared: &EngineShared) -> SliceOutcome {
     if task.finished {
         return finish_task(task, shared);
-    }
-    // Restart backoff: the task stays runnable but does no
-    // work until its resume instant passes — a sleeping worker would
-    // starve every other task on its deque.
-    if let Some(at) = task.resume_at {
-        if Instant::now() < at {
-            // Backing off is liveness, not a stall.
-            shared.progress[task.collector.replica()].fetch_add(1, Ordering::Relaxed);
-            return SliceOutcome::Yield { progressed: false };
-        }
-        task.resume_at = None;
     }
     // Ship stalled output before consuming any more input.
     if task.collector.is_backpressured() {
@@ -297,15 +279,11 @@ fn run_slice(task: &mut Task, shared: &EngineShared) -> SliceOutcome {
             shared,
         ),
     };
-    let step = match step {
-        Step::Fault(message) => handle_fault(task, message, shared),
-        other => other,
-    };
     match step {
         Step::Finish => finish_task(task, shared),
         Step::Sleep => SliceOutcome::Sleep,
         Step::Yield(progressed) => SliceOutcome::Yield { progressed },
-        Step::Fault(_) => unreachable!("handle_fault resolves faults"),
+        Step::Fault(message) => handle_fault(task, message, shared),
     }
 }
 
@@ -353,8 +331,8 @@ fn run_spout_slice(
     step
 }
 
-/// One bolt slice: restart housekeeping (replay the interrupted jumbo's
-/// tail, finish leftover batched jumbos), then bounded input polls.
+/// One bolt slice: continuation housekeeping (replay the interrupted
+/// jumbo's tail, finish leftover batched jumbos), then bounded input polls.
 fn run_bolt_slice(
     state: &mut BoltState,
     ports: &[InputPort],
@@ -411,53 +389,41 @@ fn run_bolt_slice(
     Step::Yield(progressed)
 }
 
-/// Restart supervisor: on a granted restart, re-instance the
-/// operator (unless `recover()` keeps it) and schedule the backoff as a
-/// yield-until instant; on a denied one, close the task's *input* queues
-/// (producers fail fast; outputs stay open for live consumers) and retire
-/// it through [`finish_task`]'s normal accounting.
-fn handle_fault(task: &mut Task, message: String, shared: &EngineShared) -> Step {
-    task.attempts += 1;
-    match shared.config.restart.delay_for(task.attempts) {
-        Some(delay) => {
-            shared.record_fault(
-                task.op_index,
-                task.ctx.replica,
-                FaultKind::OperatorPanic,
-                message,
-                true,
-            );
-            shared.restarts[task.op_index].fetch_add(1, Ordering::Relaxed);
-            task.resume_at = Some(Instant::now() + delay);
-            match &mut task.body {
-                TaskBody::Spout { spout, .. } => {
-                    if !spout.recover() {
-                        *spout = shared.new_spout_instance(task.op_index, task.ctx);
-                    }
-                }
-                TaskBody::Bolt(state) => {
-                    if !state.bolt.recover() {
-                        state.bolt = shared.new_bolt_instance(task.op_index, task.ctx);
-                    }
-                }
-            }
-            Step::Yield(true)
-        }
-        None => {
-            shared.record_fault(
-                task.op_index,
-                task.ctx.replica,
-                FaultKind::OperatorPanic,
-                message,
-                false,
-            );
-            for p in &task.ports {
-                p.close();
-            }
-            task.dead = true;
-            Step::Finish
-        }
+/// Fault supervisor: the operator's `recover()` decides. Continuing keeps
+/// the same instance, and the next slice replays the interrupted jumbo's
+/// tail. Dying closes the task's *input* queues (producers fail fast;
+/// outputs stay open for live consumers), charges every tuple the replica
+/// holds to its quarantine count, hands the closed rings to teardown for
+/// the same, and retires through [`finish_task`]'s normal accounting.
+fn handle_fault(task: &mut Task, message: String, shared: &EngineShared) -> SliceOutcome {
+    let continued = match &mut task.body {
+        TaskBody::Spout { spout, .. } => spout.recover(),
+        TaskBody::Bolt(state) => state.bolt.recover(),
+    };
+    shared.record_fault(
+        task.op_index,
+        task.replica,
+        FaultKind::OperatorPanic,
+        message,
+        continued,
+    );
+    if continued {
+        return SliceOutcome::Yield { progressed: true };
     }
+    for p in &task.ports {
+        p.close();
+    }
+    if let TaskBody::Bolt(state) = &mut task.body {
+        let pending: usize = state.pending.drain(..).map(|b| b.len()).sum();
+        let batched: usize = state.batch.drain(..).map(|j| j.len()).sum();
+        shared.quarantined[task.op_index].fetch_add((pending + batched) as u64, Ordering::Relaxed);
+        shared
+            .dead_inputs
+            .lock()
+            .push((task.op_index, task.ports.clone()));
+    }
+    task.dead = true;
+    finish_task(task, shared)
 }
 
 /// Run the operator's `finish` hooks (once), then drain every output
@@ -479,10 +445,10 @@ fn finish_task(task: &mut Task, shared: &EngineShared) -> SliceOutcome {
                 }
             };
             match extracted {
-                Ok(entries) => shared.harvest_state(task.op_index, task.ctx.replica, entries),
+                Ok(entries) => shared.harvest_state(task.op_index, task.replica, entries),
                 Err(payload) => shared.record_fault(
                     task.op_index,
-                    task.ctx.replica,
+                    task.replica,
                     FaultKind::OperatorPanic,
                     panic_message(payload.as_ref()),
                     false,
@@ -496,12 +462,10 @@ fn finish_task(task: &mut Task, shared: &EngineShared) -> SliceOutcome {
                     // this retirement still hands the spent budget over
                     // (join folds parked state into the harvest).
                     match catch_unwind(AssertUnwindSafe(|| spout.extract_state())) {
-                        Ok(entries) => {
-                            shared.park_retired(task.op_index, task.ctx.replica, entries)
-                        }
+                        Ok(entries) => shared.park_retired(task.op_index, task.replica, entries),
                         Err(payload) => shared.record_fault(
                             task.op_index,
-                            task.ctx.replica,
+                            task.replica,
                             FaultKind::OperatorPanic,
                             panic_message(payload.as_ref()),
                             false,
@@ -509,16 +473,16 @@ fn finish_task(task: &mut Task, shared: &EngineShared) -> SliceOutcome {
                     }
                 }
                 TaskBody::Bolt(state) => {
-                    // Panic-guarded: a faulty `finish` is recorded, never
-                    // restarted (the operator is retiring anyway), and never
-                    // poisons teardown.
+                    // Panic-guarded: a faulty `finish` is recorded (the
+                    // operator is retiring anyway) and never poisons
+                    // teardown.
                     let bolt = &mut state.bolt;
                     let collector = &mut task.collector;
                     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| bolt.finish(collector)))
                     {
                         shared.record_fault(
                             task.op_index,
-                            task.ctx.replica,
+                            task.replica,
                             FaultKind::OperatorPanic,
                             panic_message(payload.as_ref()),
                             false,
@@ -651,14 +615,12 @@ pub(crate) fn spawn_pool(
         };
         *slots[t].lock() = Some(Task {
             op_index: seed.op_index,
+            replica: seed.ctx.replica,
             body,
             collector: seed.collector,
             ports: seed.ports,
             producer_ops: seed.producer_ops,
             finished: false,
-            ctx: seed.ctx,
-            attempts: 0,
-            resume_at: None,
             dead: false,
         });
         hub.states[t].store(READY, Ordering::Release);
@@ -738,8 +700,7 @@ fn worker_loop(w: usize, pool: &PoolShared, shared: &EngineShared) {
                         emergency_retire(
                             shared,
                             task.op_index,
-                            task.ctx.replica,
-                            t,
+                            task.replica,
                             &hosted,
                             &task.ports,
                             panic_message(payload.as_ref()),

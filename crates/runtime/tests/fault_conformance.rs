@@ -2,8 +2,10 @@
 //! invariant*. Under the same deterministic injected fault, the fused and
 //! the unfused run (both on a two-worker pool) must produce identical
 //! per-operator counter vectors — processed, emitted, quarantined,
-//! restarts and sink totals — and obey exactly-once-minus-quarantined
-//! conservation on every attributable edge.
+//! faults and sink totals — and obey exactly-once-minus-quarantined
+//! conservation on every attributable edge. No configuration is needed:
+//! [`FaultPlan`]'s wrappers panic before the inner operator runs and so
+//! always continue.
 //!
 //! Word Count pins cross-config equality (all its operators have
 //! content-deterministic 1:1-or-derivable arity, so the aggregate effect
@@ -14,14 +16,14 @@
 //!
 //! Each cell builds its own [`FaultPlan`]: trigger state (the `seen` /
 //! `fired` atomics) is shared across every app an instance instruments, by
-//! design — restarts must not re-fire a panic — so reusing one plan across
+//! design — a fired panic never fires again — so reusing one plan across
 //! cells would fire its faults in the first cell only.
 
 use brisk_apps::app_sized;
 use brisk_dag::{CostProfile, Partitioning, TopologyBuilder, DEFAULT_STREAM};
 use brisk_runtime::{
     silence_injected_panics, AppRuntime, Collector, DynBolt, DynSpout, Engine, EngineConfig,
-    FaultPlan, RestartPolicy, RunReport, Scheduler, SpoutStatus, TupleView,
+    FaultPlan, RunReport, Scheduler, SpoutStatus, TupleView,
 };
 use std::time::Duration;
 
@@ -47,10 +49,6 @@ fn cell_config(fusion: bool) -> EngineConfig {
     EngineConfig::builder()
         .scheduler(Scheduler::CorePool { workers: 2 })
         .fusion(fusion)
-        .restart(RestartPolicy::Bounded {
-            max_restarts: 3,
-            backoff: Duration::from_millis(5),
-        })
         .build()
 }
 
@@ -89,7 +87,7 @@ fn vectors(r: &RunReport) -> (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>, u64) {
         per_op.iter().map(|o| o.processed).collect(),
         per_op.iter().map(|o| o.emitted).collect(),
         per_op.iter().map(|o| o.quarantined).collect(),
-        per_op.iter().map(|o| o.restarts).collect(),
+        per_op.iter().map(|o| o.faults).collect(),
         r.sink_events,
     )
 }
@@ -141,11 +139,11 @@ fn wc_spout_panic_matches_the_fault_free_baseline() {
     assert_eq!(ie, be, "emitted unchanged by a recovered spout fault");
     assert_eq!(is_, bs, "sink total unchanged by a recovered spout fault");
     assert_eq!(iq, bq, "nothing quarantined: the fault predates the tuple");
-    assert_eq!(ir[0], 1, "exactly one spout restart");
+    assert_eq!(ir[0], 1, "exactly one spout fault");
     for cell in &injected {
         check_wc_conservation(cell);
         assert_eq!(cell.report.faults().len(), 1, "{}", cell.label());
-        assert!(cell.report.faults()[0].restarted, "{}", cell.label());
+        assert!(cell.report.faults()[0].continued, "{}", cell.label());
     }
 }
 
@@ -153,14 +151,13 @@ fn wc_spout_panic_matches_the_fault_free_baseline() {
 fn wc_mid_bolt_panic_is_identical_fused_and_unfused() {
     // Counter (op 3) replica 0 loses its 30th tuple in both cells. The
     // counter is a real (unfused) replica in both, so this exercises the
-    // task restart path.
+    // task continuation path.
     let cells = run_wc_cells(|| FaultPlan::new().panic_on_nth(3, 0, 30), 600);
     check_identical(&cells, "mid-bolt-panic");
     for cell in &cells {
         check_wc_conservation(cell);
         let counter = cell.report.operator(3);
         assert_eq!(counter.quarantined, 1, "{}", cell.label());
-        assert_eq!(counter.restarts, 1, "{}", cell.label());
         assert_eq!(counter.faults, 1, "{}", cell.label());
         assert_eq!(
             cell.report.operator(2).emitted,
@@ -180,7 +177,7 @@ fn wc_sink_panic_is_identical_fused_and_unfused() {
         check_wc_conservation(cell);
         let sink = cell.report.operator(4);
         assert_eq!(sink.quarantined, 1, "{}", cell.label());
-        assert_eq!(sink.restarts, 1, "{}", cell.label());
+        assert_eq!(sink.faults, 1, "{}", cell.label());
         assert_eq!(
             cell.report.sink_events,
             cell.report.operator(3).emitted - 1,
@@ -266,7 +263,7 @@ fn broadcast_quarantine_conserves_shared_batches() {
             "{}: every broadcast copy accounted, none cloned or lost",
             cell.label()
         );
-        assert_eq!(sink.restarts, 1, "{}", cell.label());
+        assert_eq!(sink.faults, 1, "{}", cell.label());
         assert_eq!(r.sink_events, budget * replicas - 1, "{}", cell.label());
     }
 }
@@ -288,8 +285,8 @@ fn lr_faults_conserve_and_terminate() {
             assert_eq!(report.faults().len(), 1, "{ctx}");
             let fault = &report.faults()[0];
             assert_eq!(fault.op_index, op, "{ctx}: fault attributed to op");
-            assert!(fault.restarted, "{ctx}");
-            assert_eq!(report.operator(op).restarts, 1, "{ctx}");
+            assert!(fault.continued, "{ctx}");
+            assert_eq!(report.operator(op).faults, 1, "{ctx}");
 
             // Parser (op 1) emits on a single stream: its edge from the
             // spout stays attributable whatever else the fault disturbed.
